@@ -11,7 +11,6 @@ with negative weights allowed throughout.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -100,12 +99,11 @@ def mu_correlations_affine(weights, phi, pmf_point: np.ndarray) -> np.ndarray:
     return out
 
 
-def shapley_affine(weights, phi, exact: bool = False):
+def shapley_affine(weights, phi) -> np.ndarray:
     """Generalized index vector of h(x) = phi(w.x) via pivot counting.
 
     Entry i sums phi(score with i flipped up) - phi(score with i down) over
-    ordered prefixes, weighted k!(n-1-k)!/n! by prefix size k.  With
-    exact=True, phi must return integers and the result is a Fraction list.
+    ordered prefixes, weighted k!(n-1-k)!/n! by prefix size k.
     """
     w = _int_weights(weights)
     n = w.size
@@ -115,24 +113,13 @@ def shapley_affine(weights, phi, exact: bool = False):
     u = np.arange(width) - off
 
     coef = np.array([1.0 / (n * math.comb(n - 1, k)) for k in range(n)])
-    out: list = [None] * n
+    out = np.empty(n)
     for i, wi in enumerate(w):
         G = leave_one_out(F, off, int(wi))
-        dplus = np.asarray(phi(2 * (u + wi) - total))
-        dminus = np.asarray(phi(2 * u - total))
-        if exact:
-            diff = dplus.astype(object) - dminus.astype(object)
-            acc = Fraction(0)
-            for k in range(n):
-                inner = int(G[k] @ diff)
-                acc += Fraction(inner, n * math.comb(n - 1, k))
-            out[i] = acc
-        else:
-            diff = (dplus - dminus).astype(np.float64)
-            out[i] = float(coef @ (G @ diff))
-    if exact:
-        return out
-    return np.array(out, dtype=np.float64)
+        dplus = np.asarray(phi(2 * (u + wi) - total), dtype=np.float64)
+        dminus = np.asarray(phi(2 * u - total), dtype=np.float64)
+        out[i] = float(coef @ (G @ (dplus - dminus)))
+    return out
 
 
 def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:

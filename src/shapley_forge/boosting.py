@@ -77,13 +77,14 @@ def lbf_from_state(state: BoostState) -> LinearBoundedFunction:
     )
 
 
-def ltf_from_state(state: BoostState) -> VotingGame:
-    """Sign of the running affine form, the candidate game of a finished run."""
-    net = state.net
-    return VotingGame(
-        weights=state.gamma * net[1:].astype(np.float64),
-        threshold=-state.gamma * float(net[0]),
-    )
+def game_from_net(net: np.ndarray) -> VotingGame:
+    """Voting game sign(net . (1, x)) of a boosting net, with integer weights.
+
+    This is the game the solver validates and returns.  Scaling by gamma
+    would not change its sign in exact arithmetic, but in floating point it
+    can move scores of 0 below 0 and break the sign(0) = +1 tie the other way.
+    """
+    return VotingGame(net[1:].astype(np.float64), float(-net[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,6 @@ def boost(
     *,
     cap: int | None = None,
     stall_window: int | None = None,
-    stall_tolerance: float | None = None,
     record: bool = False,
 ) -> BoostResult:
     """Run the loop until every slot is matched to within gamma = xi/2.
@@ -166,15 +166,12 @@ def boost(
     worst slot break toward the lowest index.  Exceeding the round cap
     raises IterationCapError; an optional stall window returns converged =
     False instead when the worst violation has not dropped by at least
-    stall_tolerance (default gamma/16, below the oracle noise floor) for
-    that many rounds in a row.
+    gamma/16 (below the oracle noise floor) for that many rounds in a row.
     """
     n = targets.n
     gamma = targets.gamma
     if cap is None:
         cap = math.ceil(64.0 / targets.xi**2)
-    if stall_tolerance is None:
-        stall_tolerance = gamma / 16.0
     state = BoostState(n=n, gamma=gamma)
     history: list = []
     best = math.inf
@@ -186,7 +183,7 @@ def boost(
         v = float(abs(viol[j]))
         if v <= gamma:
             return BoostResult(state, a_t, state.t, True, history)
-        if v < best - stall_tolerance:
+        if v < best - gamma / 16.0:
             best = v
             last_improved = state.t
         elif stall_window is not None and state.t - last_improved >= stall_window:

@@ -3,8 +3,8 @@
 Subcommands: compute (exact or sampled index vector of a game file),
 estimate (accuracy-driven sampling), solve / solve-bounded (grid-search
 synthesis from a target file), sample-mu (draws from the slice
-distribution), diagnose (anti-concentration and distance reports), bench
-(small self-check suites), and a hidden boost-debug trace.
+distribution), diagnose (anti-concentration and distance reports), and a
+hidden boost-debug trace.
 
 Exit codes: 0 success, 1 solver reported no solution, 2 usage or input
 validation failure.  JSON floats are emitted with 17 significant digits.
@@ -372,87 +372,6 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    rows = _run_bench_suite(args.suite, args.seed)
-    out_rows = [[inst, n, metric, _fmt_cell(value), _fmt_cell(threshold), "pass" if ok else "fail"]
-                for inst, n, metric, value, threshold, ok in rows]
-    man = _manifest("bench", vars(args), args.seed, "ok")
-    _emit_csv(["instance", "n", "metric", "value", "threshold", "status"], out_rows, args.out, man)
-    return 0
-
-
-def _run_bench_suite(suite: str, seed: int) -> list[tuple]:
-    import numpy as np
-
-    rows: list[tuple] = []
-    rng = np.random.default_rng(seed)
-    if suite == "identities":
-        from .indices import (
-            fourier_from_correlations,
-            shapley_exact_truthtable,
-            shapley_from_correlations,
-            shapley_from_fourier,
-        )
-        from .mu import exact_correlations
-
-        for n in (3, 5, 8):
-            for s in range(4):
-                vals = rng.uniform(-1, 1, size=2**n)
-
-                def fn(X, _v=vals, _n=n):
-                    idx = ((X == 1).astype(np.int64) * (1 << np.arange(_n))).sum(axis=1)
-                    return _v[idx]
-
-                rep = shapley_exact_truthtable(fn, n)
-                corr = exact_correlations(fn, n)
-                e1 = np.abs(shapley_from_correlations(corr, rep.f_top, rep.f_bottom, n) - rep.shapley).max()
-                e2 = np.abs(shapley_from_fourier(fourier_from_correlations(corr), rep.nu) - rep.shapley).max()
-                e3 = abs(rep.shapley.sum() - (rep.f_top - rep.f_bottom))
-                err = max(e1, e2, e3)
-                rows.append((f"bounded-{n}-{s}", n, "identity_err", float(err), 1e-10, err <= 1e-10))
-    elif suite == "roundtrip":
-        from .indices import shapley_exact_dp
-        from .games import QuotaGame
-        from .solver import SolveConfig, solve_is
-
-        for s in range(3):
-            n = int(rng.integers(4, 7))
-            w = rng.integers(1, 7, n)
-            tot = int(w.sum())
-            q = QuotaGame(tuple(int(x) for x in w), int(rng.integers(tot // 3 + 1, 2 * tot // 3 + 1)))
-            target = shapley_exact_dp(q).shapley
-            res = solve_is(target, SolveConfig(epsilon=0.1, xi=0.01, oracle_mode="exact-dp", seed=seed))
-            ok = res.status == "solved" and res.est_dshapley <= 0.1
-            rows.append((f"quota-{n}-{s}", n, "solve_dshapley", res.est_dshapley, 0.1, ok))
-    elif suite == "boosting":
-        from .boosting import BoostTargets, boost, exact_enum_oracle
-        from .games import VotingGame, ltf_fn
-        from .mu import exact_correlations
-
-        for s in range(4):
-            n = int(rng.integers(4, 8))
-            g = VotingGame(rng.uniform(-1, 1, n), float(rng.uniform(-0.4, 0.4)))
-            a = exact_correlations(ltf_fn(g), n)
-            xi = 0.1
-            res = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n))
-            err = float(np.abs(res.correlations - a).max())
-            rows.append((f"ltf-{n}-{s}", n, "boost_corr_err", err, xi, res.converged and err <= xi))
-    elif suite == "anticonc":
-        from . import diagnostics as dg
-        from .games import VotingGame, ltf_fn
-
-        for s in range(4):
-            n = int(rng.integers(4, 9))
-            f = VotingGame(rng.uniform(0.1, 1, n), float(rng.uniform(0, 0.3)))
-            g = VotingGame(rng.uniform(0.1, 1, n), float(rng.uniform(0, 0.3)))
-            rep = dg.distance_report(ltf_fn(f), ltf_fn(g), n)
-            slack = min(rep.shapley_slack, rep.fourier_slack)
-            rows.append((f"pair-{n}-{s}", n, "transfer_slack", float(slack), 0.0, slack >= 0.0))
-    else:
-        _die(f"unknown suite {suite!r}")
-    return rows
-
-
 def _cmd_boost_debug(args) -> int:
     import numpy as np
 
@@ -544,12 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("bench", help="small self-check suites, CSV out")
-    p.add_argument("--suite", choices=("identities", "roundtrip", "boosting", "anticonc"), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("boost-debug")  # intentionally undocumented
     p.add_argument("--target", required=True)

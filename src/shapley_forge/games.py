@@ -12,43 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-
-def as_bits(x: "BitString | Sequence[int] | np.ndarray") -> np.ndarray:
-    """Validate a +-1 vector and return it as an int8 array."""
-    if isinstance(x, BitString):
-        return x.bits
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError(f"bit string must be 1-dimensional, got shape {arr.shape}")
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("bit string entries must be exactly -1 or +1")
-    return arr.astype(np.int8)
-
-
-@dataclass(frozen=True)
-class BitString:
-    """A vector in {-1,+1}^n."""
-
-    bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", as_bits(np.asarray(self.bits)))
-        if self.bits.size == 0:
-            raise ValueError("bit string must be non-empty")
-        self.bits.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-    @property
-    def wt(self) -> int:
-        """Number of +1 entries."""
-        return int(np.count_nonzero(self.bits == 1))
 
 
 @dataclass(frozen=True)
@@ -123,25 +88,6 @@ class LinearBoundedFunction:
         return int(self.weights.size)
 
 
-def _check_dim(n_game: int, n_x: int) -> None:
-    if n_game != n_x:
-        raise ValueError(f"dimension mismatch: game has n={n_game}, input has n={n_x}")
-
-
-def evaluate_ltf(game: VotingGame, x: "BitString | Sequence[int] | np.ndarray") -> int:
-    bits = as_bits(x)
-    _check_dim(game.n, bits.size)
-    val = float(game.weights @ bits) - game.threshold
-    return 1 if val >= 0 else -1
-
-
-def evaluate_lbf(lbf: LinearBoundedFunction, x: "BitString | Sequence[int] | np.ndarray") -> float:
-    bits = as_bits(x)
-    _check_dim(lbf.n, bits.size)
-    val = float(lbf.weights @ bits) - lbf.threshold
-    return float(min(1.0, max(-1.0, val)))
-
-
 def ltf_values(game: VotingGame, X: np.ndarray) -> np.ndarray:
     """sign(w.x - theta) for every row of X, as float +-1."""
     vals = X @ game.weights - game.threshold
@@ -160,15 +106,6 @@ def ltf_fn(game: VotingGame):
 
 def lbf_fn(lbf: LinearBoundedFunction):
     return lambda X: lbf_values(lbf, X)
-
-
-def rowwise(f) -> "callable":
-    """Adapt a scalar per-row function to the batch oracle contract."""
-
-    def batch(X: np.ndarray) -> np.ndarray:
-        return np.array([f(row) for row in X], dtype=np.float64)
-
-    return batch
 
 
 def quota_to_ltf(g: QuotaGame) -> VotingGame:
@@ -190,11 +127,6 @@ def is_eta_reasonable(game: VotingGame, eta: float) -> tuple[bool, bool]:
     reasonable = abs(game.threshold) <= (1.0 - eta) * l1
     monotone = bool(np.all(game.weights >= 0))
     return reasonable, monotone
-
-
-def threshold_lbf(lbf: LinearBoundedFunction) -> VotingGame:
-    """Replace the clipped affine form by its sign."""
-    return VotingGame(lbf.weights.copy(), lbf.threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -66,28 +66,14 @@ def truthtable_coefficient_matrix(n: int) -> np.ndarray:
     return A
 
 
-def shapley_exact_truthtable(fn, n: int, exact: bool = False) -> ShapleyReport:
+def shapley_exact_truthtable(fn, n: int) -> ShapleyReport:
     """Index vector by summing the per-point formula over all 2^n inputs.
 
-    fn maps an (m, n) +-1 matrix to m values.  With exact=True the sum is
-    carried out in rational arithmetic on the exact binary values of fn.
+    fn maps an (m, n) +-1 matrix to m values.
     """
     cube = enumerate_cube(n)
     vals = np.asarray(fn(cube), dtype=np.float64)
-    wt = np.count_nonzero(cube == 1, axis=1)
-    if exact:
-        fact = math.factorial
-        shap = [Fraction(0)] * n
-        for row, w_row, v in zip(cube, wt, vals):
-            fv = Fraction(float(v))
-            k = int(w_row)
-            pos = Fraction(fact(k - 1) * fact(n - k), fact(n)) if k >= 1 else Fraction(0)
-            neg = Fraction(fact(k) * fact(n - k - 1), fact(n)) if k <= n - 1 else Fraction(0)
-            for i in range(n):
-                shap[i] += fv * (pos if row[i] == 1 else -neg)
-        arr = np.array([float(s) for s in shap])
-    else:
-        arr = truthtable_coefficient_matrix(n).T @ vals
+    arr = truthtable_coefficient_matrix(n).T @ vals
     f_top = float(vals[-1])
     f_bottom = float(vals[0])
     return ShapleyReport(shapley=arr, nu=(f_top - f_bottom) / n, f_top=f_top, f_bottom=f_bottom)

@@ -16,8 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .games import BitString
-
 
 def lambda_n(n: int) -> float:
     """Normalizer sum_{0<k<n} (1/k + 1/(n-k)) = 2 * H_{n-1}."""
@@ -69,13 +67,6 @@ def _weights_from_uniform(dist: MuDistribution, u: np.ndarray) -> np.ndarray:
     ks = np.searchsorted(dist.cumulative, u, side="right")
     # guard the u ~ 1.0 edge against cumulative rounding
     return np.minimum(ks, dist.n - 1)
-
-
-def sample_mu(dist: MuDistribution, rng: np.random.Generator) -> BitString:
-    k = int(_weights_from_uniform(dist, np.asarray(rng.random())))
-    x = np.full(dist.n, -1, dtype=np.int8)
-    x[rng.permutation(dist.n)[:k]] = 1
-    return BitString(x)
 
 
 def sample_mu_batch(dist: MuDistribution, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -179,22 +170,3 @@ def basis_coeffs(n: int) -> FourierBasis:
     alpha = (math.sqrt(lam / den) - beta) / n
     return FourierBasis(n=n, alpha=alpha, beta=beta)
 
-
-def exact_correlations_dp(game) -> np.ndarray:
-    """Correlation vector of an integer-weight threshold game, no enumeration."""
-    from . import _subsetdp
-    from .games import VotingGame
-
-    if not isinstance(game, VotingGame):
-        raise TypeError("expected a VotingGame")
-    w = np.asarray(np.rint(game.weights), dtype=np.int64)
-    if not np.allclose(game.weights, w, atol=1e-9):
-        raise ValueError("DP route needs integer weights")
-    thr = math.ceil(game.threshold)
-
-    def phi(z: np.ndarray) -> np.ndarray:
-        return np.where(z >= thr, 1.0, -1.0)
-
-    n = game.n
-    pmf_point = np.array([mu_pmf(n, k) for k in range(n + 1)])
-    return _subsetdp.mu_correlations_affine(w, phi, pmf_point)

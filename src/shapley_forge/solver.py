@@ -23,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import (
-    BoostResult,
     BoostTargets,
     IterationCapError,
     boost,
     exact_dp_oracle,
     exact_enum_oracle,
-    ltf_from_state,
+    game_from_net,
     sampled_oracle,
 )
 from .estimators import EstimateConfig, estimate_shapley
@@ -54,7 +53,6 @@ class SolveConfig:
     seed: int = 0
     oracle_mode: str = "exact-enum"
     weight_bound: float | None = None
-    eta: float = 0.1
     enum_cap: int = 14
     stall_window: int = 512
     early_stop: bool = True
@@ -67,6 +65,10 @@ class SolveConfig:
             raise ValueError("grid_step must lie in (0, 2]")
         if not 0 < self.xi <= 1:
             raise ValueError("xi must lie in (0, 1]")
+        if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0 < self.delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,8 @@ class _GridEngine:
     closed-form gamma * sign * (second-moment column).  Once the L1 mass
     crosses the cap the row flips permanently to dense mode, which keeps the
     integer score vector S = net . (1, x) per support point and re-derives
-    correlations from clip(gamma*S) after every append (float32 by default;
-    well inside the oracle accuracy budget).
+    correlations from clip(gamma*S) after every append, in float32 (well
+    inside the oracle accuracy budget).
     """
 
     def __init__(
@@ -113,8 +115,6 @@ class _GridEngine:
         *,
         stall_window: int | None = 512,
         cap: float = math.inf,
-        force_dense: bool = False,
-        float64_dense: bool = False,
     ) -> None:
         self.n = n
         self.gamma = float(gamma)
@@ -124,17 +124,12 @@ class _GridEngine:
         self.G = self.A.shape[0]
         support = enumerate_support(n)
         self.M = support.shape[0]
-        Xext = np.ones((self.M, n + 1), dtype=np.int8)
-        Xext[:, 1:] = support
-        self.Xext = Xext
-        self.Xext32 = Xext.astype(np.int32)
-        self.wts = mu_weights(n)
-        self.Wmu32 = (self.wts[:, None] * Xext).astype(np.float32)
+        self.Xext32 = np.ones((self.M, n + 1), dtype=np.int32)
+        self.Xext32[:, 1:] = support
+        self.Wmu32 = (mu_weights(n)[:, None] * self.Xext32).astype(np.float32)
         self.cross = degree1_moment_matrix(n)
         self.stall_window = math.inf if stall_window is None else int(stall_window)
-        self.stall_tolerance = self.gamma / 16.0
         self.cap = cap
-        self.float64_dense = float64_dense
 
         self.net = np.zeros((self.G, n + 1), dtype=np.int64)
         self.corr = np.zeros((self.G, n + 1))
@@ -147,8 +142,6 @@ class _GridEngine:
         self.S: np.ndarray | None = None
         # no point clips while the L1 mass of net stays at or below this
         self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
-        if force_dense:
-            self.lin_cap = -1
 
     def _densify(self, rows: np.ndarray) -> None:
         if self.S is None:
@@ -159,14 +152,10 @@ class _GridEngine:
 
     def _dense_corr(self, rows: np.ndarray) -> None:
         assert self.S is not None
-        if self.float64_dense:
-            H = np.clip(self.gamma * self.S[rows], -1.0, 1.0)
-            self.corr[rows] = (H * self.wts) @ self.Xext
-        else:
-            H = self.S[rows].astype(np.float32)
-            H *= np.float32(self.gamma)
-            np.clip(H, -1.0, 1.0, out=H)
-            self.corr[rows] = H @ self.Wmu32
+        H = self.S[rows].astype(np.float32)
+        H *= np.float32(self.gamma)
+        np.clip(H, -1.0, 1.0, out=H)
+        self.corr[rows] = H @ self.Wmu32
 
     def step(self) -> list[int]:
         """One boosting round for every live row; returns rows that finished."""
@@ -179,7 +168,7 @@ class _GridEngine:
         pick = np.arange(act.size)
         v = absv[pick, j]
         conv = v <= self.gamma
-        improved = v < self.best[act] - self.stall_tolerance
+        improved = v < self.best[act] - self.gamma / 16.0
         stalled = (~conv) & (~improved) & (self.t[act] - self.last_improved[act] >= self.stall_window)
         self.converged[act[conv]] = True
         finished = act[conv | stalled]
@@ -262,15 +251,6 @@ def _target_rows(target: np.ndarray, nu: float, axis: np.ndarray) -> tuple[np.nd
     return A, f0s, means
 
 
-def _candidate_game(net: np.ndarray, gamma: float) -> VotingGame:
-    return VotingGame(gamma * net[1:].astype(np.float64), -gamma * float(net[0]))
-
-
-def _int_candidate(net: np.ndarray) -> VotingGame:
-    """Same sign function as the gamma-scaled candidate, integer weights."""
-    return VotingGame(net[1:].astype(np.float64), -float(net[0]))
-
-
 def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     """Exact index distance for many candidates at once, by truth table."""
     cube = enumerate_cube(n)
@@ -312,24 +292,6 @@ def _make_oracle(n: int, cfg: SolveConfig, xi: float, grid_points: int, cap: int
     return sampled_oracle(n, xi, delta_each, cfg.seed)
 
 
-def candidate_from_guess(
-    target: np.ndarray, guess: GuessPoint, cfg: SolveConfig, *, xi: float | None = None
-) -> tuple[VotingGame, BoostResult]:
-    """Boost a single grid cell to a candidate game; total for any guess."""
-    target = np.asarray(target, dtype=np.float64)
-    n = target.size
-    xi = cfg.xi if xi is None else xi
-    nu = 2.0 / n
-    lam = lambda_n(n)
-    a = np.empty(n + 1)
-    a[0] = guess.f_star_0
-    a[1:] = (2.0 / lam) * (target - nu) + guess.mean_corr
-    cap = math.ceil(64.0 / xi**2)
-    oracle = _make_oracle(n, cfg, xi, 1, cap)
-    res = boost(BoostTargets(a=a, xi=xi), oracle, cap=cap, stall_window=cfg.stall_window)
-    return ltf_from_state(res.state), res
-
-
 # ---------------------------------------------------------------------------
 # Full solvers
 # ---------------------------------------------------------------------------
@@ -343,8 +305,8 @@ def solve_is(target, cfg: SolveConfig = SolveConfig()) -> SolveResult:
 def solve_isbw(target, cfg: SolveConfig) -> SolveResult:
     """Bounded-weight variant: xi shrinks with the assumed weight budget."""
     target = np.asarray(target, dtype=np.float64)
-    if cfg.weight_bound is None or cfg.weight_bound <= 0:
-        raise ValueError("solve_isbw needs a positive weight_bound")
+    if cfg.weight_bound is None or not (math.isfinite(cfg.weight_bound) and cfg.weight_bound > 0):
+        raise ValueError("solve_isbw needs a positive finite weight_bound")
     n = target.size
     xi = min(cfg.xi, 1.0 / (10.0 * n * cfg.weight_bound))
     return _solve(target, cfg, xi, default_eps=n ** (-1.0 / 8.0))
@@ -354,6 +316,8 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     n = target.size
     if n < 3:
         raise ValueError(f"need at least 3 voters, got {n}")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target entries must be finite")
     eps = cfg.epsilon if cfg.epsilon is not None else default_eps
     accept_at = 0.8 * eps
     nu = 2.0 / n
@@ -369,20 +333,28 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     cap = math.ceil(64.0 / xi**2)
 
     use_engine = n <= cfg.enum_cap and cfg.oracle_mode in ("exact-enum", "exact-dp")
-    if use_engine:
-        return _solve_engine(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, cap)
-    return _solve_sequential(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, cap)
+    run = _solve_engine if use_engine else _solve_sequential
+    (d, iters, g, net), status, evaluated = run(target, cfg, xi, accept_at, A, cap)
+    return SolveResult(
+        game=game_from_net(net),
+        est_dshapley=d,
+        guess=GuessPoint(float(f0s[g]), float(means[g])),
+        boost_iterations=iters,
+        status=status,
+        nu_warning=nu_warning,
+        grid_evaluated=evaluated,
+    )
 
 
 def _pick(accepted: list) -> tuple:
     return min(accepted, key=lambda r: (r[0], r[1], r[2]))
 
 
-def _solve_engine(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, cap) -> SolveResult:
+def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple:
+    """Lockstep grid; returns ((distance, iterations, cell, net), status, cells run)."""
     n = target.size
     G = A.shape[0]
-    gamma = xi / 2.0
-    engine = _GridEngine(n, A, gamma, stall_window=cfg.stall_window, cap=cap)
+    engine = _GridEngine(n, A, xi / 2.0, stall_window=cfg.stall_window, cap=cap)
     accepted: list[tuple] = []  # (est, iterations, grid index)
     seen: dict[int, float] = {}
 
@@ -395,7 +367,7 @@ def _solve_engine(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, ca
             ds = _exact_d_enum_batch(nets, target, n)
         else:
             ds = np.array(
-                [d_shapley(shapley_int_ltf_dp(_int_candidate(net)).shapley, target) for net in nets]
+                [d_shapley(shapley_int_ltf_dp(game_from_net(net)).shapley, target) for net in nets]
             )
         for g, d in zip(rows, ds):
             seen[g] = float(d)
@@ -415,31 +387,15 @@ def _solve_engine(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, ca
     evaluated = int(np.count_nonzero(~engine.alive))
     if accepted:
         d, iters, g = _pick(accepted)
-        return SolveResult(
-            game=_candidate_game(engine.net[g], gamma),
-            est_dshapley=d,
-            guess=GuessPoint(float(f0s[g]), float(means[g])),
-            boost_iterations=iters,
-            status="solved",
-            nu_warning=nu_warning,
-            grid_evaluated=evaluated,
-        )
+        return (d, iters, g, engine.net[g]), "solved", evaluated
     g = min(seen, key=lambda k: (seen[k], k))
-    return SolveResult(
-        game=_candidate_game(engine.net[g], gamma),
-        est_dshapley=seen[g],
-        guess=GuessPoint(float(f0s[g]), float(means[g])),
-        boost_iterations=int(engine.t[g]),
-        status="no-solution",
-        nu_warning=nu_warning,
-        grid_evaluated=evaluated,
-    )
+    return (seen[g], int(engine.t[g]), g, engine.net[g]), "no-solution", evaluated
 
 
-def _solve_sequential(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means, cap) -> SolveResult:
+def _solve_sequential(target, cfg, xi, accept_at, A, cap) -> tuple:
+    """One cell at a time, scalar boost; same return shape as _solve_engine."""
     n = target.size
     G = A.shape[0]
-    gamma = xi / 2.0
     if cfg.oracle_mode == "exact-enum" and n > 20:
         raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp or sampled")
     oracle = _make_oracle(n, cfg, xi, G, cap)
@@ -453,7 +409,7 @@ def _solve_sequential(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means
         net = res.state.net
         if res.converged:
             est = validate_candidate(
-                target, _int_candidate(net), cfg, seed=int(rng.integers(2**63))
+                target, game_from_net(net), cfg, seed=int(rng.integers(2**63))
             )
             fallback.append((est, res.iterations, g, net))
             if est <= accept_at:
@@ -463,23 +419,14 @@ def _solve_sequential(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means
         else:
             fallback.append((None, res.iterations, g, net))
     if accepted:
-        d, iters, g, net = _pick(accepted)
-        return SolveResult(
-            game=_candidate_game(net, gamma),
-            est_dshapley=d,
-            guess=GuessPoint(float(f0s[g]), float(means[g])),
-            boost_iterations=iters,
-            status="solved",
-            nu_warning=nu_warning,
-            grid_evaluated=evaluated,
-        )
+        return _pick(accepted), "solved", evaluated
     # no accepted candidate: fill in estimates for the cheap exact modes
     if cfg.oracle_mode != "sampled":
         fallback = [
             (
                 est
                 if est is not None
-                else validate_candidate(target, _int_candidate(net), cfg),
+                else validate_candidate(target, game_from_net(net), cfg),
                 iters,
                 g,
                 net,
@@ -490,23 +437,14 @@ def _solve_sequential(target, cfg, xi, eps, accept_at, nu_warning, A, f0s, means
     if not scored:
         scored = [
             (
-                validate_candidate(target, _int_candidate(net), cfg, seed=int(rng.integers(2**63))),
+                validate_candidate(target, game_from_net(net), cfg, seed=int(rng.integers(2**63))),
                 iters,
                 g,
                 net,
             )
             for est, iters, g, net in fallback[:1]
         ]
-    d, iters, g, net = _pick(scored)
-    return SolveResult(
-        game=_candidate_game(net, gamma),
-        est_dshapley=d,
-        guess=GuessPoint(float(f0s[g]), float(means[g])),
-        boost_iterations=iters,
-        status="no-solution",
-        nu_warning=nu_warning,
-        grid_evaluated=evaluated,
-    )
+    return _pick(scored), "no-solution", evaluated
 
 
 def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]:

@@ -10,8 +10,8 @@ from shapley_forge.boosting import (
     boost,
     exact_dp_oracle,
     exact_enum_oracle,
+    game_from_net,
     lbf_from_state,
-    ltf_from_state,
     sampled_oracle,
 )
 from shapley_forge.games import VotingGame, lbf_fn, ltf_fn
@@ -52,9 +52,9 @@ def test_state_translation_frozen_case():
     lbf = lbf_from_state(state)
     assert np.allclose(lbf.weights, [0.0, 0.1, 0.0], atol=1e-15)
     assert lbf.threshold == pytest.approx(0.2)
-    g = ltf_from_state(state)
-    assert np.allclose(g.weights, lbf.weights)
-    assert g.threshold == lbf.threshold
+    g = game_from_net(state.net)
+    assert g.weights.tolist() == [0.0, 1.0, 0.0]
+    assert g.threshold == 2.0
 
 
 def test_boost_converges_on_realizable_targets(rng):
@@ -115,6 +115,22 @@ def test_oracles_agree(rng):
     assert np.allclose(enum, dp, atol=1e-12)
     truth = exact_correlations(lbf_fn(lbf_from_state(state)), n)
     assert np.allclose(enum, truth, atol=1e-12)
+
+
+def test_dp_oracle_matches_enumeration_on_sign_games(rng):
+    # at gamma = 1 an odd integer score never clips inside (-1, 1), so the
+    # oracle's clipped form is the sign game sign(w.x - theta) itself
+    for n in (4, 7, 10):
+        for _ in range(3):
+            w = rng.integers(-6, 7, size=n)
+            theta = float(rng.integers(-4, 5)) - 0.5
+            g = VotingGame(w.astype(float), theta)
+            net = np.concatenate([[-2 * theta], 2 * w]).astype(np.int64)
+            state = BoostState(n=n, gamma=1.0)
+            state.counts[0] = np.maximum(net, 0)
+            state.counts[1] = np.maximum(-net, 0)
+            got = exact_dp_oracle(n)(state)
+            assert np.allclose(got, exact_correlations(ltf_fn(g), n), atol=1e-12)
 
 
 def test_sampled_oracle_is_within_contract():

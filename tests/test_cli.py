@@ -134,6 +134,21 @@ def test_solve_writes_file_and_exits_0(target_file, tmp_path, capsys):
     assert doc["manifest"]["outcome"] == "solved"
 
 
+def test_solved_game_feeds_compute_exact_dp(target_file, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    code, _, _ = run_app(
+        ["solve", "--target", target_file, "--xi", "0.05", "--oracle", "dp", "--out", str(sol)],
+        capsys,
+    )
+    assert code == 0
+    solved = json.loads(sol.read_text())
+    code, out, err = run_app(["compute", "--exact-dp", "--game", str(sol)], capsys)
+    assert code == 0, err
+    got = np.asarray(json.loads(out)["shapley"])
+    target = np.asarray(json.loads(open(target_file).read())["shapley"])
+    assert np.linalg.norm(got - target) == pytest.approx(solved["est_dshapley"], abs=1e-9)
+
+
 def test_solve_standard_convention_doubles(tmp_path, capsys):
     path = tmp_path / "std.json"
     path.write_text(json.dumps({"n": 3, "shapley": [1 / 3, 1 / 3, 1 / 3], "convention": "standard"}))
@@ -163,6 +178,38 @@ def test_solve_bad_target_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "shapley, flags",
+    [
+        ([2 / 3, float("nan"), 2 / 3], []),
+        ([2 / 3, 2 / 3, 2 / 3], ["--epsilon", "-1"]),
+        ([2 / 3, 2 / 3, 2 / 3], ["--epsilon", "nan"]),
+        ([2 / 3, 2 / 3, 2 / 3], ["--delta", "0"]),
+        ([2 / 3, 2 / 3, 2 / 3], ["--delta", "1.5"]),
+    ],
+    ids=["nan-target", "negative-epsilon", "nan-epsilon", "zero-delta", "delta-above-1"],
+)
+def test_solve_rejects_bad_inputs_with_exit_2(tmp_path, capsys, shapley, flags):
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"n": 3, "shapley": shapley, "convention": "generalized"}))
+    out_path = tmp_path / "sol.json"
+    code, _, err = run_app(
+        ["solve", "--target", str(path), "--xi", "0.05", "--out", str(out_path), *flags], capsys
+    )
+    assert code == 2
+    assert "error:" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("bound", ["nan", "inf"])
+def test_solve_bounded_rejects_non_finite_weight_bound(target_file, capsys, bound):
+    code, _, err = run_app(
+        ["solve-bounded", "--target", target_file, "--weight-bound", bound, "--xi", "0.05"], capsys
+    )
+    assert code == 2
+    assert "weight_bound" in err
+
+
 def test_solve_bounded_requires_flag(target_file, capsys):
     with pytest.raises(SystemExit) as exc:
         app(["solve-bounded", "--target", target_file])
@@ -190,7 +237,7 @@ def test_solve_bounded_runs(target_file, capsys):
 
 
 # ---------------------------------------------------------------------------
-# sample-mu / diagnose / bench
+# sample-mu / diagnose
 # ---------------------------------------------------------------------------
 
 
@@ -258,13 +305,6 @@ def test_diagnose_distances(game_file, tmp_path, capsys):
 def test_diagnose_needs_other_for_distances(game_file, capsys):
     code, _, err = run_app(["diagnose", "distances", "--game", game_file], capsys)
     assert code == 2
-
-
-def test_bench_identities(capsys):
-    code, out, _ = run_app(["bench", "--suite", "identities", "--seed", "1"], capsys)
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows and all(r["status"] == "pass" for r in rows)
 
 
 def test_boost_debug_trace(target_file, capsys):

@@ -5,39 +5,31 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import reference as ref
 from shapley_forge.games import (
-    BitString,
     LinearBoundedFunction,
     QuotaGame,
     VotingGame,
-    evaluate_lbf,
-    evaluate_ltf,
     game_from_dict,
     game_to_dict,
     is_eta_reasonable,
     lbf_values,
     load_game,
-    ltf_fn,
     ltf_values,
     quota_to_ltf,
-    rowwise,
     save_game,
-    threshold_lbf,
 )
 
 
-def test_bitstring_basics():
-    b = BitString((1, -1, 1, 1))
-    assert b.n == 4
-    assert b.wt == 3
-    with pytest.raises(ValueError):
-        BitString((1, 0, -1))
+def _sign1(game: VotingGame, x) -> float:
+    """The game's value at one input, through the batch evaluator."""
+    return float(ltf_values(game, np.array([x]))[0])
 
 
 def test_sign_tie_breaks_positive():
     g = VotingGame(np.array([1.0, 1.0]), 2.0)
-    assert evaluate_ltf(g, (1, 1)) == 1
-    assert evaluate_ltf(g, (1, -1)) == -1
+    assert _sign1(g, (1, 1)) == 1.0
+    assert _sign1(g, (1, -1)) == -1.0
 
 
 def test_ltf_values_matches_scalar(rng):
@@ -45,8 +37,9 @@ def test_ltf_values_matches_scalar(rng):
     X = np.where(rng.random((40, 6)) < 0.5, 1, -1)
     vals = ltf_values(g, X)
     assert vals.shape == (40,)
+    fn1 = ref.ltf1(g.weights, g.threshold)
     for row, v in zip(X, vals):
-        assert v == evaluate_ltf(g, row)
+        assert v == fn1(row)
 
 
 def test_lbf_clips_to_unit_interval(rng):
@@ -55,17 +48,8 @@ def test_lbf_clips_to_unit_interval(rng):
     vals = lbf_values(lbf, X)
     assert np.all(vals <= 1.0) and np.all(vals >= -1.0)
     for row, v in zip(X, vals):
-        assert v == pytest.approx(evaluate_lbf(lbf, row))
         raw = float(lbf.weights @ row) - lbf.threshold
         assert v == pytest.approx(min(1.0, max(-1.0, raw)))
-
-
-def test_threshold_lbf_takes_the_sign():
-    lbf = LinearBoundedFunction(np.array([0.2, 0.2]), 0.1)
-    g = threshold_lbf(lbf)
-    assert isinstance(g, VotingGame)
-    assert evaluate_ltf(g, (1, -1)) == -1
-    assert evaluate_ltf(g, (1, 1)) == 1
 
 
 @given(
@@ -83,7 +67,7 @@ def test_quota_to_ltf_agrees_with_quota_semantics(weights, data):
         members = [(mask >> i) & 1 for i in range(n)]
         coalition_weight = sum(w for w, m in zip(weights, members) if m)
         x = [1 if m else -1 for m in members]
-        assert (evaluate_ltf(g, x) == 1) == (coalition_weight >= quota)
+        assert (_sign1(g, x) == 1.0) == (coalition_weight >= quota)
 
 
 def test_quota_game_validation():
@@ -104,13 +88,6 @@ def test_is_eta_reasonable():
     assert is_eta_reasonable(signed, 0.1) == (True, False)
     with pytest.raises(ValueError):
         is_eta_reasonable(g, 0.0)
-
-
-def test_rowwise_adapter(rng):
-    g = VotingGame(rng.normal(size=4), 0.1)
-    X = np.where(rng.random((25, 4)) < 0.5, 1, -1)
-    batched = rowwise(lambda row: evaluate_ltf(g, row))
-    assert np.array_equal(batched(X), ltf_fn(g)(X))
 
 
 def test_dict_roundtrip_is_exact():
@@ -134,8 +111,8 @@ def test_load_quota_file(tmp_path):
     path.write_text(json.dumps({"n": 3, "weights": [49, 49, 2], "quota": 51}))
     g = load_game(str(path))
     assert g.threshold == 2 * 51 - 100 - 0.5
-    assert evaluate_ltf(g, (1, 1, -1)) == 1
-    assert evaluate_ltf(g, (1, -1, -1)) == -1
+    assert _sign1(g, (1, 1, -1)) == 1.0
+    assert _sign1(g, (1, -1, -1)) == -1.0
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -151,4 +128,4 @@ def test_load_rejects_malformed(tmp_path):
 def test_dimension_mismatch_raises():
     g = VotingGame(np.ones(3), 0.0)
     with pytest.raises(ValueError):
-        evaluate_ltf(g, (1, 1))
+        ltf_values(g, np.array([[1, 1]]))

@@ -61,13 +61,17 @@ def test_coefficient_matrix_columns_sum_to_jump():
     assert np.allclose(A.T @ vals_const, 0.0, atol=1e-13)
 
 
-def test_exact_mode_gives_rational_answers():
+def test_small_games_have_rational_indices():
+    # the permutation reference sums in rationals; the float route lands on it
     dictator = VotingGame(np.array([1.0, 0.0, 0.0]), 0.5)
-    rep = shapley_exact_truthtable(ltf_fn(dictator), 3, exact=True)
-    assert rep.shapley.tolist() == [2.0, 0.0, 0.0]
+    want = ref.perm_shapley(ref.ltf1(dictator.weights, dictator.threshold), 3)
+    assert want.tolist() == [2.0, 0.0, 0.0]
+    assert shapley_exact_truthtable(ltf_fn(dictator), 3).shapley.tolist() == [2.0, 0.0, 0.0]
     majority = VotingGame(np.ones(3), 0.0)
-    rep = shapley_exact_truthtable(ltf_fn(majority), 3, exact=True)
-    assert np.allclose(rep.shapley, 2.0 / 3.0, atol=1e-16)
+    want = ref.perm_shapley(ref.ltf1(majority.weights, majority.threshold), 3)
+    assert want.tolist() == [2 / 3] * 3
+    rep = shapley_exact_truthtable(ltf_fn(majority), 3)
+    assert np.allclose(rep.shapley, want, atol=1e-16)
 
 
 def test_monotone_games_double_classical_value(rng):

@@ -8,21 +8,18 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_table, table_batch_fn
-from shapley_forge.games import VotingGame, ltf_fn
 from shapley_forge.mu import (
     basis_coeffs,
     degree1_moment_matrix,
     enumerate_cube,
     enumerate_support,
     exact_correlations,
-    exact_correlations_dp,
     exact_mu_expectation,
     lambda_n,
     mu_distribution,
     mu_pmf,
     mu_weights,
     pair_correlation,
-    sample_mu,
     sample_mu_batch,
     slice_prob,
 )
@@ -129,27 +126,9 @@ def test_exact_correlations_matches_reference(rng):
         assert np.allclose(got, want, atol=1e-13)
 
 
-def test_exact_correlations_dp_matches_enumeration(rng):
-    for n in (4, 7, 10):
-        for _ in range(3):
-            w = rng.integers(-6, 7, size=n)
-            theta = float(rng.integers(-4, 5)) - 0.5
-            g = VotingGame(w.astype(float), theta)
-            assert np.allclose(
-                exact_correlations_dp(g), exact_correlations(ltf_fn(g), n), atol=1e-12
-            )
-
-
 def test_mu_distribution_validation():
     with pytest.raises(ValueError):
         mu_distribution(2)
-
-
-def test_sample_mu_single_draw(rng):
-    dist = mu_distribution(5)
-    x = sample_mu(dist, rng)
-    assert x.n == 5
-    assert 1 <= x.wt <= 4
 
 
 def test_sampler_hits_slice_frequencies():

@@ -3,15 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from shapley_forge.boosting import BoostTargets, boost, exact_enum_oracle
+from shapley_forge.boosting import (
+    BoostTargets,
+    boost,
+    exact_enum_oracle,
+    game_from_net,
+    sampled_oracle,
+)
 from shapley_forge.games import QuotaGame, VotingGame, ltf_fn, quota_to_ltf
-from shapley_forge.indices import d_shapley, shapley_exact_truthtable
-from shapley_forge.mu import exact_correlations
+from shapley_forge.indices import (
+    correlations_from_shapley,
+    d_shapley,
+    shapley_exact_dp,
+    shapley_exact_truthtable,
+)
+from shapley_forge.mu import exact_correlations, mu_weights
 from shapley_forge.solver import (
-    GuessPoint,
     SolveConfig,
     _GridEngine,
-    candidate_from_guess,
     exhaustive_baseline,
     solve_is,
     solve_isbw,
@@ -29,15 +38,25 @@ def _realizable(rng, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def test_engine_float64_dense_replays_scalar_boost(rng):
+class _DenseReferenceEngine(_GridEngine):
+    """Every row dense from its first append, correlations in float64."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.lin_cap = -1
+
+    def _dense_corr(self, rows: np.ndarray) -> None:
+        H = np.clip(self.gamma * self.S[rows], -1.0, 1.0)
+        self.corr[rows] = (H * mu_weights(self.n)) @ self.Xext32
+
+
+def test_engine_dense_reference_replays_scalar_boost(rng):
     n, xi = 5, 0.05
     a = _realizable(rng, n)
     gamma = xi / 2.0
 
     scalar = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), stall_window=4096)
-    eng = _GridEngine(
-        n, a[None, :], gamma, stall_window=4096, force_dense=True, float64_dense=True
-    )
+    eng = _DenseReferenceEngine(n, a[None, :], gamma, stall_window=4096)
     eng.run()
     assert bool(eng.converged[0]) == scalar.converged
     assert int(eng.t[0]) == scalar.iterations
@@ -51,7 +70,7 @@ def test_engine_fast_path_matches_dense_reference(rng):
     A = np.stack([_realizable(rng, n) for _ in range(5)])
     fast = _GridEngine(n, A, gamma, stall_window=4096)
     fast.run()
-    ref_eng = _GridEngine(n, A, gamma, stall_window=4096, force_dense=True, float64_dense=True)
+    ref_eng = _DenseReferenceEngine(n, A, gamma, stall_window=4096)
     ref_eng.run()
     assert np.array_equal(fast.net, ref_eng.net)
     assert np.array_equal(fast.t, ref_eng.t)
@@ -65,17 +84,8 @@ def test_engine_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# Single-guess candidates
+# Candidate validation
 # ---------------------------------------------------------------------------
-
-
-def test_candidate_from_guess_is_total_on_wild_guesses():
-    target = np.array([2.0, 0.0, 0.0, 0.0])
-    cfg = SolveConfig(xi=0.05, stall_window=64)
-    for guess in (GuessPoint(1.0, 1.0), GuessPoint(-1.0, -1.0), GuessPoint(0.0, 0.95)):
-        game, res = candidate_from_guess(target, guess, cfg)
-        assert isinstance(game, VotingGame)
-        assert res.iterations >= 0
 
 
 def test_validate_candidate_modes_agree():
@@ -100,6 +110,18 @@ def test_solve_recovers_symmetric_target():
     got = shapley_exact_truthtable(ltf_fn(res.game), 3).shapley
     assert d_shapley(got, target) == pytest.approx(res.est_dshapley, abs=1e-9)
     assert not res.nu_warning
+
+
+@pytest.mark.parametrize("mode", ["exact-enum", "exact-dp"])
+def test_returned_game_is_the_validated_game(mode):
+    # the gamma-scaled copy of this net breaks sign(0) ties the other way:
+    # its true distance is 0.0777 against a reported 0.0563
+    target = shapley_exact_dp(QuotaGame((7, 9, 4, 0, 5, 9, 2, 7), 15)).shapley
+    res = solve_is(target, SolveConfig(xi=0.02, oracle_mode=mode))
+    assert res.status == "solved"
+    assert np.array_equal(res.game.weights, np.rint(res.game.weights))
+    got = shapley_exact_truthtable(ltf_fn(res.game), 8).shapley
+    assert d_shapley(got, target) == pytest.approx(res.est_dshapley, abs=1e-9)
 
 
 def test_solve_recovers_dictator():
@@ -160,9 +182,11 @@ def test_sampled_mode_components():
     # a single grid cell instead
     target = np.full(3, 2.0 / 3.0)
     cfg = SolveConfig(xi=0.3, oracle_mode="sampled", epsilon=0.5, seed=5, stall_window=32)
-    game, res = candidate_from_guess(target, GuessPoint(0.0, 0.0), cfg)
-    assert isinstance(game, VotingGame)
+    a = np.concatenate([[0.0], correlations_from_shapley(target, 2.0 / 3.0, 0.0)])
+    oracle = sampled_oracle(3, cfg.xi, 1e-3, cfg.seed)
+    res = boost(BoostTargets(a=a, xi=cfg.xi), oracle, stall_window=cfg.stall_window)
     assert res.iterations >= 0
+    game = game_from_net(res.state.net)
     d_est = validate_candidate(target, game, cfg)
     d_true = d_shapley(shapley_exact_truthtable(ltf_fn(game), 3).shapley, target)
     # validator accuracy is eps/10 per slot, sqrt(n) overall
