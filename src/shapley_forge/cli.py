@@ -167,6 +167,13 @@ def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: di
         print(dumps_json17(manifest), file=sys.stderr)
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _fmt_cell(v) -> object:
     if isinstance(v, float):
         return format(v, ".17g")
@@ -320,8 +327,11 @@ def _cmd_diagnose(args) -> int:
         if args.i is None:
             _die("balanced mode needs --i (prefix length)")
         w0 = -game.threshold if args.w0 is None else args.w0
-        rep = dg.balanced_fraction(w0, game.weights, args.i, args.r, samples=args.samples, seed=seed)
-        bound = dg.balanced_prefix_bound(game.n, args.i, args.eta)
+        try:
+            bound = dg.balanced_prefix_bound(game.n, args.i, args.eta)
+            rep = dg.balanced_fraction(w0, game.weights, args.i, args.r, samples=args.samples, seed=seed)
+        except ValueError as exc:
+            _die(str(exc))
         ok = rep.estimate <= bound + 5.0 * rep.stderr
         header = ["n", "i", "w0", "r", "estimate", "stderr", "samples", "method", "bound", "within_bound"]
         rows = [[game.n, args.i, w0, rep.r, rep.estimate, rep.stderr, rep.samples, rep.method, bound, ok]]
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--exact-enum", action="store_true", help="truth-table enumeration (default)")
     mx.add_argument("--exact-dp", action="store_true", help="subset-count DP, integer weights")
     mx.add_argument("--samples", type=int, default=None, help="Monte-Carlo with this many sampled orders")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compute)
 
@@ -425,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", required=True)
     p.add_argument("--gamma", type=float, default=0.1)
     p.add_argument("--delta", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
 
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xi", type=float, default=0.005)
         p.add_argument("--grid", type=float, default=0.05)
         p.add_argument("--delta", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--oracle", choices=("enum", "dp", "sampled"), default="enum")
         if bounded:
             p.add_argument("--weight-bound", type=float, required=True)
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample-mu", help="draw from the slice distribution, CSV out")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sample_mu)
 
@@ -460,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--bias", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_diagnose)
 
@@ -471,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi", type=float, default=0.1)
     p.add_argument("--oracle", choices=("enum", "dp", "sampled"), default="enum")
     p.add_argument("--stall", type=int, default=2048)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_boost_debug)
 

@@ -26,10 +26,12 @@ class EstimateConfig:
     max_samples: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.gamma:
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0,1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def correlation_sample_count(n: int, gamma: float, delta: float) -> int:

@@ -7,10 +7,13 @@ runs the boosting loop against each implied correlation vector, thresholds
 each resulting clipped form into a voting game and keeps any candidate whose
 (estimated or exact) index distance clears the acceptance margin 8*eps/10.
 
-For n up to the enumeration cap the whole grid is boosted in lockstep by a
-vectorized engine: rows stay in a closed-form "linear" regime while their
-running sums provably never clip, and move one-way into a dense regime that
-re-derives correlations from the materialized support table.
+The whole grid is boosted in lockstep by one vectorized engine, at every n
+and in every oracle mode.  Rows stay in a closed-form "linear" regime while
+their running sums provably never clip, and move one-way into a dense regime
+whose correlations are refreshed after every append: from the materialized
+support table in the exact modes up to the enumeration cap, by one subset-DP
+oracle call per row above it, and by one sampled oracle call per row in
+sampled mode.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boosting import (
-    BoostTargets,
+    BoostState,
     IterationCapError,
-    boost,
     exact_dp_oracle,
-    exact_enum_oracle,
     game_from_net,
     sampled_oracle,
 )
@@ -53,12 +54,15 @@ class SolveConfig:
     seed: int = 0
     oracle_mode: str = "exact-enum"
     weight_bound: float | None = None
+    # largest n whose dense refresh uses the materialized support table
     enum_cap: int = 14
     stall_window: int = 512
     early_stop: bool = True
     check_every: int = 64
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.oracle_mode not in ORACLE_MODES:
             raise ValueError(f"oracle_mode must be one of {ORACLE_MODES}, got {self.oracle_mode!r}")
         if not 0 < self.grid_step <= 2:
@@ -96,15 +100,17 @@ class SolveResult:
 
 
 class _GridEngine:
-    """Boosts every target row of A in lockstep over the support table.
+    """Boosts every target row of A in lockstep.
 
     A row starts in linear mode: while sum_l |net_l| stays below 1/gamma no
     support point can clip, so the correlation update of an append is the
-    closed-form gamma * sign * (second-moment column).  Once the L1 mass
-    crosses the cap the row flips permanently to dense mode, which keeps the
-    integer score vector S = net . (1, x) per support point and re-derives
-    correlations from clip(gamma*S) after every append, in float32 (well
-    inside the oracle accuracy budget).
+    closed-form gamma * sign * (second-moment column), exact at any n.  Once
+    the L1 mass crosses the cap the row flips permanently to dense mode and
+    its correlations are refreshed after every append.  This class refreshes
+    from the support table, built when the first row goes dense: it keeps
+    the integer score vector S = net . (1, x) per support point and
+    re-derives correlations from clip(gamma*S) in float32 (well inside the
+    oracle accuracy budget).
     """
 
     def __init__(
@@ -122,11 +128,6 @@ class _GridEngine:
         if self.A.ndim != 2 or self.A.shape[1] != n + 1:
             raise ValueError(f"targets must be (G, {n + 1})")
         self.G = self.A.shape[0]
-        support = enumerate_support(n)
-        self.M = support.shape[0]
-        self.Xext32 = np.ones((self.M, n + 1), dtype=np.int32)
-        self.Xext32[:, 1:] = support
-        self.Wmu32 = (mu_weights(n)[:, None] * self.Xext32).astype(np.float32)
         self.cross = degree1_moment_matrix(n)
         self.stall_window = math.inf if stall_window is None else int(stall_window)
         self.cap = cap
@@ -145,13 +146,27 @@ class _GridEngine:
 
     def _densify(self, rows: np.ndarray) -> None:
         if self.S is None:
-            self.S = np.zeros((self.G, self.M), dtype=np.int32)
+            support = enumerate_support(self.n)
+            self.Xext32 = np.ones((support.shape[0], self.n + 1), dtype=np.int32)
+            self.Xext32[:, 1:] = support
+            self.Wmu32 = (mu_weights(self.n)[:, None] * self.Xext32).astype(np.float32)
+            self.S = np.zeros((self.G, support.shape[0]), dtype=np.int32)
         for g in rows:
             self.S[g] = self.Xext32 @ self.net[g].astype(np.int32)
         self.dense[rows] = True
 
+    def _append_dense(self, rows: np.ndarray, jj: np.ndarray, sg: np.ndarray) -> None:
+        for col in np.unique(jj):
+            colvec = self.Xext32[:, col]
+            sel = jj == col
+            plus = rows[sel & (sg > 0)]
+            minus = rows[sel & (sg < 0)]
+            if plus.size:
+                self.S[plus] += colvec
+            if minus.size:
+                self.S[minus] -= colvec
+
     def _dense_corr(self, rows: np.ndarray) -> None:
-        assert self.S is not None
         H = self.S[rows].astype(np.float32)
         H *= np.float32(self.gamma)
         np.clip(H, -1.0, 1.0, out=H)
@@ -197,18 +212,7 @@ class _GridEngine:
             if np.any(over):
                 self._densify(lrows[over])
         if np.any(was_dense):
-            urows = rows[was_dense]
-            uj = jj[was_dense]
-            us = sg[was_dense]
-            for col in np.unique(uj):
-                colvec = self.Xext32[:, col]
-                sel = uj == col
-                plus = urows[sel & (us > 0)]
-                minus = urows[sel & (us < 0)]
-                if plus.size:
-                    self.S[plus] += colvec
-                if minus.size:
-                    self.S[minus] -= colvec
+            self._append_dense(rows[was_dense], jj[was_dense], sg[was_dense])
         now_dense = rows[self.dense[rows]]
         if now_dense.size:
             self._dense_corr(now_dense)
@@ -226,6 +230,28 @@ class _GridEngine:
                 pending = []
         if checkpoint is not None and pending:
             checkpoint(pending)
+
+
+class _OracleGridEngine(_GridEngine):
+    """Refreshes each dense row by one boosting-oracle call on its net.
+
+    Nothing of size 2^n is built, so this engine runs at any n.
+    """
+
+    def __init__(self, n: int, targets: np.ndarray, gamma: float, oracle, **kwargs) -> None:
+        super().__init__(n, targets, gamma, **kwargs)
+        self.oracle = oracle
+
+    def _densify(self, rows: np.ndarray) -> None:
+        self.dense[rows] = True
+
+    def _append_dense(self, rows: np.ndarray, jj: np.ndarray, sg: np.ndarray) -> None:
+        pass  # the net is the whole dense state
+
+    def _dense_corr(self, rows: np.ndarray) -> None:
+        for g in rows:
+            counts = np.stack([np.maximum(self.net[g], 0), np.maximum(-self.net[g], 0)])
+            self.corr[g] = self.oracle(BoostState(self.n, self.gamma, counts=counts))
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +277,23 @@ def _target_rows(target: np.ndarray, nu: float, axis: np.ndarray) -> tuple[np.nd
     return A, f0s, means
 
 
+# bytes of the float64 (rows x 2^n) score matrix in one enumeration batch
+_ENUM_BATCH_BYTES = 64 << 20
+
+
 def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
     """Exact index distance for many candidates at once, by truth table."""
     cube = enumerate_cube(n)
     ext = np.ones((cube.shape[0], n + 1))
     ext[:, 1:] = cube
-    scores = nets.astype(np.float64) @ ext.T
-    signs = np.where(scores >= 0, 1.0, -1.0)
-    shap = signs @ truthtable_coefficient_matrix(n)
-    return np.linalg.norm(shap - target[None, :], axis=1)
+    coef = truthtable_coefficient_matrix(n)
+    chunk = max(1, _ENUM_BATCH_BYTES // (8 * cube.shape[0]))
+
+    def dist(rows: np.ndarray) -> np.ndarray:
+        signs = np.where(rows.astype(np.float64) @ ext.T >= 0, 1.0, -1.0)
+        return np.linalg.norm(signs @ coef - target[None, :], axis=1)
+
+    return np.concatenate([dist(nets[s : s + chunk]) for s in range(0, len(nets), chunk)])
 
 
 def validate_candidate(
@@ -281,15 +315,6 @@ def validate_candidate(
         return d_shapley(rep.shapley, target)
     rep = shapley_exact_truthtable(ltf_fn(game), n)
     return d_shapley(rep.shapley, target)
-
-
-def _make_oracle(n: int, cfg: SolveConfig, xi: float, grid_points: int, cap: int):
-    if cfg.oracle_mode == "exact-enum":
-        return exact_enum_oracle(n)
-    if cfg.oracle_mode == "exact-dp":
-        return exact_dp_oracle(n)
-    delta_each = (cfg.delta / 2.0) / (grid_points * (cap + 1))
-    return sampled_oracle(n, xi, delta_each, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +343,8 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
         raise ValueError(f"need at least 3 voters, got {n}")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
+    if cfg.oracle_mode == "exact-enum" and n > 20:
+        raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp or sampled")
     eps = cfg.epsilon if cfg.epsilon is not None else default_eps
     accept_at = 0.8 * eps
     nu = 2.0 / n
@@ -332,9 +359,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     A, f0s, means = _target_rows(target, nu, axis)
     cap = math.ceil(64.0 / xi**2)
 
-    use_engine = n <= cfg.enum_cap and cfg.oracle_mode in ("exact-enum", "exact-dp")
-    run = _solve_engine if use_engine else _solve_sequential
-    (d, iters, g, net), status, evaluated = run(target, cfg, xi, accept_at, A, cap)
+    (d, iters, g, net), status, evaluated = _solve_engine(target, cfg, xi, accept_at, A, cap)
     return SolveResult(
         game=game_from_net(net),
         est_dshapley=d,
@@ -346,105 +371,60 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     )
 
 
-def _pick(accepted: list) -> tuple:
-    return min(accepted, key=lambda r: (r[0], r[1], r[2]))
-
-
 def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple:
     """Lockstep grid; returns ((distance, iterations, cell, net), status, cells run)."""
     n = target.size
     G = A.shape[0]
-    engine = _GridEngine(n, A, xi / 2.0, stall_window=cfg.stall_window, cap=cap)
+    gamma = xi / 2.0
+    kw = {"stall_window": cfg.stall_window, "cap": cap}
+    sampled = cfg.oracle_mode == "sampled"
+    if sampled:
+        delta_each = (cfg.delta / 2.0) / (G * (cap + 1))
+        engine = _OracleGridEngine(n, A, gamma, sampled_oracle(n, xi, delta_each, cfg.seed), **kw)
+    elif n > cfg.enum_cap:
+        engine = _OracleGridEngine(n, A, gamma, exact_dp_oracle(n), **kw)
+    else:
+        engine = _GridEngine(n, A, gamma, **kw)
     accepted: list[tuple] = []  # (est, iterations, grid index)
     seen: dict[int, float] = {}
+    rng = np.random.default_rng(cfg.seed ^ 0x5EED)
+
+    def score(g: int) -> float:
+        game = game_from_net(engine.net[g])
+        return validate_candidate(target, game, cfg, seed=int(rng.integers(2**63)))
 
     def validate(rows: list[int]) -> None:
-        rows = [g for g in rows if g not in seen]
+        # a sampled score is costly, so only converged rows get one
+        rows = [g for g in rows if g not in seen and (engine.converged[g] or not sampled)]
         if not rows:
             return
-        nets = engine.net[rows]
         if cfg.oracle_mode == "exact-enum":
-            ds = _exact_d_enum_batch(nets, target, n)
+            ds = _exact_d_enum_batch(engine.net[rows], target, n)
         else:
-            ds = np.array(
-                [d_shapley(shapley_int_ltf_dp(game_from_net(net)).shapley, target) for net in nets]
-            )
+            ds = [score(g) for g in rows]
         for g, d in zip(rows, ds):
             seen[g] = float(d)
             if d <= accept_at:
                 accepted.append((float(d), int(engine.t[g]), int(g)))
 
     def checkpoint(finished: list[int]) -> bool:
-        # stalled rows still carry usable candidates; validation is cheap here
+        # stalled rows still carry usable candidates in the exact modes
         validate(finished)
         return bool(accepted) and cfg.early_stop
 
     engine.run(checkpoint, cfg.check_every)
 
-    if not accepted:
+    if not accepted and not sampled:
         # converged rows failed the margin; sweep everything, stalled included
         validate(list(range(G)))
+    if not seen:
+        seen[0] = score(0)  # sampled mode and no row converged
     evaluated = int(np.count_nonzero(~engine.alive))
     if accepted:
-        d, iters, g = _pick(accepted)
+        d, iters, g = min(accepted)
         return (d, iters, g, engine.net[g]), "solved", evaluated
     g = min(seen, key=lambda k: (seen[k], k))
     return (seen[g], int(engine.t[g]), g, engine.net[g]), "no-solution", evaluated
-
-
-def _solve_sequential(target, cfg, xi, accept_at, A, cap) -> tuple:
-    """One cell at a time, scalar boost; same return shape as _solve_engine."""
-    n = target.size
-    G = A.shape[0]
-    if cfg.oracle_mode == "exact-enum" and n > 20:
-        raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp or sampled")
-    oracle = _make_oracle(n, cfg, xi, G, cap)
-    accepted: list[tuple] = []
-    fallback: list[tuple] = []  # (est or None, iterations, g, net)
-    evaluated = 0
-    rng = np.random.default_rng(cfg.seed ^ 0x5EED)
-    for g in range(G):
-        res = boost(BoostTargets(a=A[g], xi=xi), oracle, cap=cap, stall_window=cfg.stall_window)
-        evaluated += 1
-        net = res.state.net
-        if res.converged:
-            est = validate_candidate(
-                target, game_from_net(net), cfg, seed=int(rng.integers(2**63))
-            )
-            fallback.append((est, res.iterations, g, net))
-            if est <= accept_at:
-                accepted.append((est, res.iterations, g, net))
-                if cfg.early_stop:
-                    break
-        else:
-            fallback.append((None, res.iterations, g, net))
-    if accepted:
-        return _pick(accepted), "solved", evaluated
-    # no accepted candidate: fill in estimates for the cheap exact modes
-    if cfg.oracle_mode != "sampled":
-        fallback = [
-            (
-                est
-                if est is not None
-                else validate_candidate(target, game_from_net(net), cfg),
-                iters,
-                g,
-                net,
-            )
-            for est, iters, g, net in fallback
-        ]
-    scored = [f for f in fallback if f[0] is not None]
-    if not scored:
-        scored = [
-            (
-                validate_candidate(target, game_from_net(net), cfg, seed=int(rng.integers(2**63))),
-                iters,
-                g,
-                net,
-            )
-            for est, iters, g, net in fallback[:1]
-        ]
-    return _pick(scored), "no-solution", evaluated
 
 
 def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]:

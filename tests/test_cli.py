@@ -104,6 +104,34 @@ def test_estimate_schema(game_file, capsys):
     assert np.abs(np.asarray(doc["shapley"]) - 2 / 3).max() <= 0.2
 
 
+def test_estimate_rejects_infinite_gamma(game_file, capsys):
+    code, out, err = run_app(["estimate", "--game", game_file, "--gamma", "inf"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "gamma" in err
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["compute", "--samples", "1"],
+        ["estimate"],
+        ["sample-mu", "-n", "3", "--samples", "2"],
+        ["solve", "--xi", "0.05"],
+    ],
+    ids=["compute", "estimate", "sample-mu", "solve"],
+)
+def test_negative_seed_exits_2(game_file, target_file, capsys, cmd):
+    if cmd[0] in ("compute", "estimate"):
+        cmd = [cmd[0], "--game", game_file, *cmd[1:]]
+    elif cmd[0] == "solve":
+        cmd = [cmd[0], "--target", target_file, *cmd[1:]]
+    code, out, err = run_app([*cmd, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 # ---------------------------------------------------------------------------
 # solve / solve-bounded
 # ---------------------------------------------------------------------------
@@ -287,6 +315,17 @@ def test_diagnose_balanced(game_file, capsys):
     row = next(csv.DictReader(io.StringIO(out)))
     assert row["within_bound"] in ("True", "False")
     assert float(row["bound"]) > 0
+
+
+@pytest.mark.parametrize("eta", ["nan", "0", "1", "-0.5", "2"])
+def test_diagnose_balanced_rejects_eta_outside_unit_interval(game_file, capsys, eta):
+    code, out, err = run_app(
+        ["diagnose", "balanced", "--game", game_file, "--i", "1", "--r", "2", f"--eta={eta}"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "eta" in err
 
 
 def test_diagnose_distances(game_file, tmp_path, capsys):

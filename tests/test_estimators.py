@@ -41,6 +41,14 @@ def test_config_validation():
         EstimateConfig(gamma=0.1, delta=1.5)
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"gamma": math.inf}, {"gamma": math.nan}, {"seed": -1}], ids=["inf", "nan", "seed"]
+)
+def test_config_rejects_non_finite_gamma_and_negative_seed(kwargs):
+    with pytest.raises(ValueError):
+        EstimateConfig(**kwargs)
+
+
 def test_budget_guard():
     g = VotingGame(np.ones(5), 0.0)
     cfg = EstimateConfig(gamma=0.01, delta=0.01, max_samples=100)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from shapley_forge import solver
 from shapley_forge.boosting import (
     BoostTargets,
     boost,
+    exact_dp_oracle,
     exact_enum_oracle,
     game_from_net,
     sampled_oracle,
@@ -21,6 +23,7 @@ from shapley_forge.mu import exact_correlations, mu_weights
 from shapley_forge.solver import (
     SolveConfig,
     _GridEngine,
+    _OracleGridEngine,
     exhaustive_baseline,
     solve_is,
     solve_isbw,
@@ -78,6 +81,31 @@ def test_engine_fast_path_matches_dense_reference(rng):
     assert np.abs(fast.corr - ref_eng.corr).max() <= xi / 160.0
 
 
+def test_engine_dp_backend_replays_scalar_boost(rng):
+    n, xi = 6, 0.05
+    a = _realizable(rng, n)
+    scalar = boost(BoostTargets(a=a, xi=xi), exact_dp_oracle(n), stall_window=4096)
+    eng = _OracleGridEngine(n, a[None, :], xi / 2.0, exact_dp_oracle(n), stall_window=4096)
+    eng.lin_cap = -1  # every row dense from its first append
+    eng.run()
+    assert bool(eng.converged[0]) == scalar.converged
+    assert int(eng.t[0]) == scalar.iterations
+    assert np.array_equal(eng.net[0], scalar.state.net)
+
+
+def test_engine_dp_backend_builds_nothing_of_size_2_to_the_n():
+    n = 16
+    A = np.stack([np.concatenate([[f0], np.full(n, 0.1)]) for f0 in (-0.5, 0.0, 0.5)])
+    eng = _OracleGridEngine(n, A, 0.05, exact_dp_oracle(n), stall_window=4096)
+    eng.lin_cap = -1
+    for _ in range(5):
+        eng.step()
+    assert eng.dense.all()
+    arrays = [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
+    assert arrays and max(v.shape[0] for v in arrays) < 2**n
+    assert eng.S is None and not hasattr(eng, "Xext32")
+
+
 def test_engine_shape_validation():
     with pytest.raises(ValueError):
         _GridEngine(4, np.zeros((3, 4)), 0.05)
@@ -124,6 +152,35 @@ def test_returned_game_is_the_validated_game(mode):
     assert d_shapley(got, target) == pytest.approx(res.est_dshapley, abs=1e-9)
 
 
+def test_exact_dp_solve_above_enum_cap_scores_the_returned_game():
+    n = 16
+    target = shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1, 7, 4), 38)).shapley
+    res = solve_is(target, SolveConfig(xi=0.005, oracle_mode="exact-dp"))
+    assert res.status == "solved"
+    got = shapley_exact_truthtable(ltf_fn(res.game), n).shapley
+    assert d_shapley(got, target) <= 0.1
+    assert d_shapley(got, target) == pytest.approx(res.est_dshapley, abs=1e-9)
+
+
+def test_exact_enum_solve_above_enum_cap_matches_exact_dp(monkeypatch):
+    # a few rows per truth-table batch, so validation runs through many chunks
+    monkeypatch.setattr(solver, "_ENUM_BATCH_BYTES", 8 * 2**15 * 7)
+    target = shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1, 7), 35)).shapley
+    enum = solve_is(target, SolveConfig(xi=0.005, oracle_mode="exact-enum"))
+    dp = solve_is(target, SolveConfig(xi=0.005, oracle_mode="exact-dp"))
+    assert enum.status == dp.status
+    assert enum.est_dshapley == pytest.approx(dp.est_dshapley, abs=1e-9)
+
+
+def test_sampled_solve_recovers_dictator():
+    target = np.array([2.0, 0.0, 0.0])
+    cfg = SolveConfig(xi=0.5, grid_step=1.0, oracle_mode="sampled", epsilon=1.0, seed=5, stall_window=32)
+    res = solve_is(target, cfg)
+    assert res.status == "solved"
+    got = shapley_exact_truthtable(ltf_fn(res.game), 3).shapley
+    assert d_shapley(got, target) <= 0.1
+
+
 def test_solve_recovers_dictator():
     target = np.array([2.0, 0.0, 0.0, 0.0])
     res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-enum"))
@@ -148,6 +205,11 @@ def test_early_stop_skips_most_of_the_grid():
     res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-dp", early_stop=True))
     assert res.status == "solved"
     assert res.grid_evaluated < 41 * 41
+
+
+def test_solve_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        SolveConfig(seed=-1)
 
 
 def test_solve_rejects_tiny_targets():
