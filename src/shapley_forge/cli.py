@@ -186,8 +186,6 @@ def _fmt_cell(v) -> object:
 
 
 def _cmd_compute(args) -> int:
-    import numpy as np
-
     from .estimators import estimate_shapley_fixed
     from .games import ltf_fn
     from .indices import shapley_exact_truthtable, shapley_int_ltf_dp
@@ -201,9 +199,10 @@ def _cmd_compute(args) -> int:
         method = "sampled"
         extra = {"m": args.samples, "seed": args.seed}
     elif args.exact_dp:
-        if not np.allclose(game.weights, np.rint(game.weights), atol=1e-9):
-            _die("--exact-dp needs integer weights")
-        vec = shapley_int_ltf_dp(game).shapley
+        try:
+            vec = shapley_int_ltf_dp(game).shapley
+        except ValueError as exc:
+            _die(str(exc))
         method = "exact-dp"
         extra = {}
     else:

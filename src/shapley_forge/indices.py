@@ -92,11 +92,7 @@ def shapley_int_ltf_dp(game: VotingGame) -> ShapleyReport:
     if not np.allclose(game.weights, w, atol=1e-9):
         raise ValueError("DP route needs integer weights")
     thr = math.ceil(game.threshold)
-
-    def phi(z: np.ndarray) -> np.ndarray:
-        return np.where(z >= thr, 1.0, -1.0)
-
-    shap = _subsetdp.shapley_affine(w, phi)
+    shap = _subsetdp.shapley_affine(w, thr)
     total = int(w.sum())
     f_top = 1.0 if total >= thr else -1.0
     f_bottom = 1.0 if -total >= thr else -1.0

@@ -46,6 +46,36 @@ def classical_shapley_shubik(int_weights, quota: int) -> np.ndarray:
     return np.array([c / total for c in counts])
 
 
+def classical_pivot_counting(int_weights, quota: int) -> np.ndarray:
+    """Pivot probability per voter of a quota game by exact subset counting.
+
+    For each voter, Python-int counts c[k][s] of the k-subsets of the other
+    voters with weight sum s < quota; the voter is pivotal after such a
+    prefix when s + w_i >= quota, which has probability k!(n-1-k)!/n! per
+    subset.  Exact at any n, no permutations; O(n^2 * quota) per distinct
+    weight, so keep n * quota modest."""
+    weights = [int(v) for v in int_weights]
+    n = len(weights)
+    by_weight = {}
+    for i, wi in enumerate(weights):
+        if wi in by_weight:  # voters of equal weight are exchangeable
+            continue
+        others = weights[:i] + weights[i + 1 :]
+        c = [[0] * quota for _ in range(n)]
+        c[0][0] = 1
+        for m, v in enumerate(others):
+            for k in range(m + 1, 0, -1):
+                prev, row = c[k - 1], c[k]
+                for s in range(quota - 1, v - 1, -1):
+                    row[s] += prev[s - v]
+        prob = Fraction(0)
+        for k in range(n):
+            pivots = sum(c[k][max(0, quota - wi) :])
+            prob += Fraction(pivots * math.factorial(k) * math.factorial(n - 1 - k), math.factorial(n))
+        by_weight[wi] = float(prob)
+    return np.array([by_weight[wi] for wi in weights])
+
+
 def mu_pmf_fraction(n: int, wt: int) -> Fraction:
     """Point mass of the slice distribution, exact rationals throughout."""
     if not 1 <= wt <= n - 1:

@@ -15,7 +15,7 @@ from shapley_forge.boosting import (
     sampled_oracle,
 )
 from shapley_forge.games import VotingGame, lbf_fn, ltf_fn
-from shapley_forge.mu import exact_correlations
+from shapley_forge.mu import degree1_moment_matrix, exact_correlations
 
 
 def _realizable_targets(rng, n: int, xi: float) -> BoostTargets:
@@ -158,3 +158,16 @@ def test_targets_validation():
         BoostTargets(a=np.zeros(3), xi=0.0)
     with pytest.raises(ValueError):
         BoostTargets(a=np.zeros((2, 2)), xi=0.1)
+
+
+@pytest.mark.parametrize("n", [20, 70])
+def test_dp_oracle_is_exact_on_unclipped_nets(rng, n):
+    # when gamma * |w.x + c0| <= 1 everywhere nothing clips, and the
+    # correlations are gamma times the second moments times the net;
+    # at n = 70 weights in {-1, 0, 1} put counts past int64 in one cell
+    net = rng.integers(-1, 2, size=n + 1)
+    state = BoostState(n=n, gamma=1.0 / int(np.abs(net).sum()))
+    state.counts[0] = np.maximum(net, 0)
+    state.counts[1] = np.maximum(-net, 0)
+    want = state.gamma * (degree1_moment_matrix(n) @ net)
+    assert np.allclose(exact_dp_oracle(n)(state), want, rtol=0, atol=1e-12)

@@ -74,6 +74,22 @@ def test_compute_exact_enum(game_file, capsys):
     assert doc["manifest"]["outcome"] == "ok"
 
 
+@pytest.mark.parametrize(
+    "game, message",
+    [
+        ({"n": 3, "weights": [10**12, 1, 1], "quota": 2}, "budget"),  # a 29 TiB subset table
+        ({"n": 3, "weights": [1.5, 1, 1], "threshold": 0.5}, "integer weights"),
+    ],
+)
+def test_compute_exact_dp_rejects_bad_weights_with_exit_2(game, message, tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    code, out, err = run_app(["compute", "--game", str(path), "--exact-dp"], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_compute_modes_agree(game_file, capsys):
     code, out, _ = run_app(["compute", "--game", game_file, "--exact-dp"], capsys)
     dp = json.loads(out)["shapley"]

@@ -173,3 +173,46 @@ def test_distance_helpers():
     ghat = np.array([-0.5, 0.1, 0.2, 0.3])
     # slot 0 is excluded from the basis distance
     assert d_fourier(fhat, ghat) == 0.0
+
+
+def test_int_ltf_dp_matches_truthtable_on_signed_games(rng):
+    # zero and negative weights, both parities of threshold + total, and
+    # thresholds past +-sum|w|, where the game is constant and the index 0
+    parities = set()
+    for trial in range(120):
+        n = 3 + trial % 10
+        w = rng.integers(-6, 7, size=n)
+        w[rng.random(n) < 0.2] = 0
+        span = int(np.abs(w).sum())
+        kind = trial % 6
+        if kind == 0:
+            thr = float(span + 1 + rng.integers(0, 4))
+        elif kind == 1:
+            thr = float(-span - rng.integers(0, 4))
+        else:
+            thr = float(rng.integers(-span, span + 1)) + (0.5 if kind == 2 else 0.0)
+        g = VotingGame(w.astype(float), thr)
+        rep = shapley_int_ltf_dp(g)
+        want = shapley_exact_truthtable(ltf_fn(g), n).shapley
+        assert np.allclose(rep.shapley, want, atol=1e-12), (w, thr)
+        if kind < 2:
+            assert not rep.shapley.any()
+        else:
+            parities.add((math.ceil(thr) + int(w.sum())) % 2)
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("n", [63, 68, 80, 100, 200])
+def test_quota_dp_majority_is_exact_at_large_n(n):
+    rep = shapley_exact_dp(QuotaGame((1,) * n, n // 2 + 1))
+    assert np.allclose(rep.shapley, 2.0 / n, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_quota_dp_matches_python_int_counts_at_large_n(rng, n):
+    for _ in range(2):
+        w = tuple(int(v) for v in rng.integers(0, 6, size=n))
+        quota = int(rng.integers(1, sum(w) + 1))
+        rep = shapley_exact_dp(QuotaGame(w, quota))
+        want = 2.0 * ref.classical_pivot_counting(w, quota)
+        assert np.allclose(rep.shapley, want, rtol=0, atol=1e-12)
