@@ -40,6 +40,15 @@ def _int_weights(weights) -> np.ndarray:
     return w
 
 
+def check_table_budget(n: int, width: int) -> None:
+    """Refuse an (n+1) x width count table over the byte budget."""
+    if (n + 1) * width * 8 > _TABLE_BYTES:
+        raise ValueError(
+            f"subset table of {n + 1} x {width} counts exceeds the "
+            f"{_TABLE_BYTES >> 20} MiB budget; the weights are too large"
+        )
+
+
 def subset_count_table(weights) -> tuple[np.ndarray, int]:
     """F[k, u + off] = number of k-subsets with weight sum u."""
     ws = _int_weights(weights).tolist()
@@ -48,11 +57,7 @@ def subset_count_table(weights) -> tuple[np.ndarray, int]:
     hi = sum(v for v in ws if v > 0)
     off = -lo
     width = hi - lo + 1
-    if (n + 1) * width * 8 > _TABLE_BYTES:
-        raise ValueError(
-            f"subset table of {n + 1} x {width} counts exceeds the "
-            f"{_TABLE_BYTES >> 20} MiB budget; the weights are too large"
-        )
+    check_table_budget(n, width)
     F = np.zeros((n + 1, width), dtype=np.int64 if n <= _INT64_MAX_N else object)
     F[0, off] = 1
     a = b = off  # columns reachable by the voters added so far

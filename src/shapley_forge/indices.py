@@ -88,9 +88,12 @@ def shapley_exact_dp(game: QuotaGame) -> ShapleyReport:
 
 def shapley_int_ltf_dp(game: VotingGame) -> ShapleyReport:
     """Index vector of an integer-weight sign game; negative weights allowed."""
-    w = np.asarray(np.rint(game.weights), dtype=np.int64)
-    if not np.allclose(game.weights, w, atol=1e-9):
+    w = np.rint(game.weights)
+    if not np.allclose(game.weights, w, rtol=0, atol=1e-9):
         raise ValueError("DP route needs integer weights")
+    # in floating point, before a weight past 2^63 can wrap in the cast
+    _subsetdp.check_table_budget(game.n, int(np.abs(w).sum()) + 1)
+    w = w.astype(np.int64)
     thr = math.ceil(game.threshold)
     shap = _subsetdp.shapley_affine(w, thr)
     total = int(w.sum())

@@ -8,12 +8,12 @@ each resulting clipped form into a voting game and keeps any candidate whose
 (estimated or exact) index distance clears the acceptance margin 8*eps/10.
 
 The whole grid is boosted in lockstep by one vectorized engine, at every n
-and in every oracle mode.  Rows stay in a closed-form "linear" regime while
-their running sums provably never clip, and move one-way into a dense regime
-whose correlations are refreshed after every append: from the materialized
-support table in the exact modes up to the enumeration cap, by one subset-DP
-oracle call per row above it, and by one sampled oracle call per row in
-sampled mode.
+and in every oracle mode.  A row's integer net is its whole state.  Rows stay
+in a closed-form "linear" regime while their running sums provably never
+clip, and move one-way into a dense regime whose correlations are recomputed
+from the net after every append by one refresh callable: from the support
+table in the exact modes up to n = 14, by one subset-DP oracle call per row
+above it, and by one sampled oracle call per row in sampled mode.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ from .indices import (
 from .mu import degree1_moment_matrix, enumerate_cube, enumerate_support, lambda_n, mu_weights
 
 ORACLE_MODES = ("exact-enum", "exact-dp", "sampled")
+# largest n whose exact-mode dense refresh uses the support table
+_ENUM_CAP = 14
+# rounds between two validations of the rows that finished in between
+_CHECK_EVERY = 64
+# bytes of the (rows x 2^n) score matrix in one enumeration batch
+_ENUM_BATCH_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -54,11 +60,7 @@ class SolveConfig:
     seed: int = 0
     oracle_mode: str = "exact-enum"
     weight_bound: float | None = None
-    # largest n whose dense refresh uses the materialized support table
-    enum_cap: int = 14
     stall_window: int = 512
-    early_stop: bool = True
-    check_every: int = 64
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -100,17 +102,14 @@ class SolveResult:
 
 
 class _GridEngine:
-    """Boosts every target row of A in lockstep.
+    """Boosts every target row of A in lockstep; a row's net is its whole state.
 
     A row starts in linear mode: while sum_l |net_l| stays below 1/gamma no
     support point can clip, so the correlation update of an append is the
     closed-form gamma * sign * (second-moment column), exact at any n.  Once
-    the L1 mass crosses the cap the row flips permanently to dense mode and
-    its correlations are refreshed after every append.  This class refreshes
-    from the support table, built when the first row goes dense: it keeps
-    the integer score vector S = net . (1, x) per support point and
-    re-derives correlations from clip(gamma*S) in float32 (well inside the
-    oracle accuracy budget).
+    the L1 mass crosses the cap the row flips permanently to dense mode, and
+    after every append its correlations are recomputed from its net by
+    refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
     """
 
     def __init__(
@@ -118,6 +117,7 @@ class _GridEngine:
         n: int,
         targets: np.ndarray,
         gamma: float,
+        refresh,
         *,
         stall_window: int | None = 512,
         cap: float = math.inf,
@@ -129,6 +129,7 @@ class _GridEngine:
             raise ValueError(f"targets must be (G, {n + 1})")
         self.G = self.A.shape[0]
         self.cross = degree1_moment_matrix(n)
+        self.refresh = refresh
         self.stall_window = math.inf if stall_window is None else int(stall_window)
         self.cap = cap
 
@@ -140,37 +141,8 @@ class _GridEngine:
         self.alive = np.ones(self.G, dtype=bool)
         self.converged = np.zeros(self.G, dtype=bool)
         self.dense = np.zeros(self.G, dtype=bool)
-        self.S: np.ndarray | None = None
         # no point clips while the L1 mass of net stays at or below this
         self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
-
-    def _densify(self, rows: np.ndarray) -> None:
-        if self.S is None:
-            support = enumerate_support(self.n)
-            self.Xext32 = np.ones((support.shape[0], self.n + 1), dtype=np.int32)
-            self.Xext32[:, 1:] = support
-            self.Wmu32 = (mu_weights(self.n)[:, None] * self.Xext32).astype(np.float32)
-            self.S = np.zeros((self.G, support.shape[0]), dtype=np.int32)
-        for g in rows:
-            self.S[g] = self.Xext32 @ self.net[g].astype(np.int32)
-        self.dense[rows] = True
-
-    def _append_dense(self, rows: np.ndarray, jj: np.ndarray, sg: np.ndarray) -> None:
-        for col in np.unique(jj):
-            colvec = self.Xext32[:, col]
-            sel = jj == col
-            plus = rows[sel & (sg > 0)]
-            minus = rows[sel & (sg < 0)]
-            if plus.size:
-                self.S[plus] += colvec
-            if minus.size:
-                self.S[minus] -= colvec
-
-    def _dense_corr(self, rows: np.ndarray) -> None:
-        H = self.S[rows].astype(np.float32)
-        H *= np.float32(self.gamma)
-        np.clip(H, -1.0, 1.0, out=H)
-        self.corr[rows] = H @ self.Wmu32
 
     def step(self) -> list[int]:
         """One boosting round for every live row; returns rows that finished."""
@@ -203,28 +175,27 @@ class _GridEngine:
         self.net[rows, jj] += sg
         self.t[rows] += 1
 
-        was_dense = self.dense[rows].copy()
-        lin = ~was_dense
-        if np.any(lin):
-            lrows = rows[lin]
-            self.corr[lrows] += self.gamma * sg[lin, None] * self.cross[jj[lin]]
-            over = np.abs(self.net[lrows]).sum(axis=1) > self.lin_cap
-            if np.any(over):
-                self._densify(lrows[over])
-        if np.any(was_dense):
-            self._append_dense(rows[was_dense], jj[was_dense], sg[was_dense])
+        lin = ~self.dense[rows]
+        lrows = rows[lin]
+        self.corr[lrows] += self.gamma * sg[lin, None] * self.cross[jj[lin]]
+        self.dense[lrows[np.abs(self.net[lrows]).sum(axis=1) > self.lin_cap]] = True
         now_dense = rows[self.dense[rows]]
         if now_dense.size:
-            self._dense_corr(now_dense)
+            self.corr[now_dense] = self.refresh(self.net[now_dense])
         return finished.tolist()
 
-    def run(self, checkpoint=None, check_every: int = 64) -> None:
+    def run(self, checkpoint=None) -> None:
+        """Step until every row has finished.
+
+        Every _CHECK_EVERY rounds the rows finished since the last call go to
+        checkpoint; a True return stops the run there.
+        """
         pending: list[int] = []
         k = 0
         while np.any(self.alive):
             pending.extend(self.step())
             k += 1
-            if checkpoint is not None and k % check_every == 0 and pending:
+            if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
                 if checkpoint(pending):
                     return
                 pending = []
@@ -232,26 +203,41 @@ class _GridEngine:
             checkpoint(pending)
 
 
-class _OracleGridEngine(_GridEngine):
-    """Refreshes each dense row by one boosting-oracle call on its net.
+def _support_refresh(n: int, gamma: float):
+    """Dense refresh by the support table, in row chunks of _ENUM_BATCH_BYTES.
 
-    Nothing of size 2^n is built, so this engine runs at any n.
+    The float32 scores are exact integers while the L1 mass of a net stays
+    below 2^24; only the clipped average is rounded, far inside the xi/16
+    oracle budget.
     """
+    support = enumerate_support(n)
+    ext = np.ones((support.shape[0], n + 1), dtype=np.float32)
+    ext[:, 1:] = support
+    XT = np.ascontiguousarray(ext.T)
+    Wmu32 = (mu_weights(n)[:, None] * ext).astype(np.float32)
+    g32 = np.float32(gamma)
 
-    def __init__(self, n: int, targets: np.ndarray, gamma: float, oracle, **kwargs) -> None:
-        super().__init__(n, targets, gamma, **kwargs)
-        self.oracle = oracle
+    def refresh(nets: np.ndarray) -> np.ndarray:
+        chunk = max(1, _ENUM_BATCH_BYTES // (4 * support.shape[0]))
+        out = np.empty(nets.shape)
+        for s in range(0, len(nets), chunk):
+            H = nets[s : s + chunk].astype(np.float32) @ XT
+            H *= g32
+            np.clip(H, -1.0, 1.0, out=H)
+            out[s : s + chunk] = H @ Wmu32
+        return out
 
-    def _densify(self, rows: np.ndarray) -> None:
-        self.dense[rows] = True
+    return refresh
 
-    def _append_dense(self, rows: np.ndarray, jj: np.ndarray, sg: np.ndarray) -> None:
-        pass  # the net is the whole dense state
 
-    def _dense_corr(self, rows: np.ndarray) -> None:
-        for g in rows:
-            counts = np.stack([np.maximum(self.net[g], 0), np.maximum(-self.net[g], 0)])
-            self.corr[g] = self.oracle(BoostState(self.n, self.gamma, counts=counts))
+def _oracle_refresh(n: int, gamma: float, oracle):
+    """Dense refresh by one boosting-oracle call per row; nothing of size 2^n."""
+
+    def refresh(nets: np.ndarray) -> np.ndarray:
+        counts = (np.stack([np.maximum(net, 0), np.maximum(-net, 0)]) for net in nets)
+        return np.stack([oracle(BoostState(n, gamma, counts=c)) for c in counts])
+
+    return refresh
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +261,6 @@ def _target_rows(target: np.ndarray, nu: float, axis: np.ndarray) -> tuple[np.nd
     A[:, 0] = f0s
     A[:, 1:] = means[:, None] + base[None, :]
     return A, f0s, means
-
-
-# bytes of the float64 (rows x 2^n) score matrix in one enumeration batch
-_ENUM_BATCH_BYTES = 64 << 20
 
 
 def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
@@ -310,7 +292,7 @@ def validate_candidate(
         est, _ = estimate_shapley(ltf_fn(game), n, est_cfg)
         return d_shapley(est, target)
     w_int = np.rint(game.weights)
-    if cfg.oracle_mode == "exact-dp" and np.allclose(game.weights, w_int, atol=1e-9):
+    if cfg.oracle_mode == "exact-dp" and np.allclose(game.weights, w_int, rtol=0, atol=1e-9):
         rep = shapley_int_ltf_dp(game)
         return d_shapley(rep.shapley, target)
     rep = shapley_exact_truthtable(ltf_fn(game), n)
@@ -376,15 +358,15 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple:
     n = target.size
     G = A.shape[0]
     gamma = xi / 2.0
-    kw = {"stall_window": cfg.stall_window, "cap": cap}
     sampled = cfg.oracle_mode == "sampled"
     if sampled:
         delta_each = (cfg.delta / 2.0) / (G * (cap + 1))
-        engine = _OracleGridEngine(n, A, gamma, sampled_oracle(n, xi, delta_each, cfg.seed), **kw)
-    elif n > cfg.enum_cap:
-        engine = _OracleGridEngine(n, A, gamma, exact_dp_oracle(n), **kw)
+        refresh = _oracle_refresh(n, gamma, sampled_oracle(n, xi, delta_each, cfg.seed))
+    elif n > _ENUM_CAP:
+        refresh = _oracle_refresh(n, gamma, exact_dp_oracle(n))
     else:
-        engine = _GridEngine(n, A, gamma, **kw)
+        refresh = _support_refresh(n, gamma)
+    engine = _GridEngine(n, A, gamma, refresh, stall_window=cfg.stall_window, cap=cap)
     accepted: list[tuple] = []  # (est, iterations, grid index)
     seen: dict[int, float] = {}
     rng = np.random.default_rng(cfg.seed ^ 0x5EED)
@@ -410,9 +392,9 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple:
     def checkpoint(finished: list[int]) -> bool:
         # stalled rows still carry usable candidates in the exact modes
         validate(finished)
-        return bool(accepted) and cfg.early_stop
+        return bool(accepted)
 
-    engine.run(checkpoint, cfg.check_every)
+    engine.run(checkpoint)
 
     if not accepted and not sampled:
         # converged rows failed the margin; sweep everything, stalled included

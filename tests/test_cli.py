@@ -79,6 +79,7 @@ def test_compute_exact_enum(game_file, capsys):
     [
         ({"n": 3, "weights": [10**12, 1, 1], "quota": 2}, "budget"),  # a 29 TiB subset table
         ({"n": 3, "weights": [1.5, 1, 1], "threshold": 0.5}, "integer weights"),
+        ({"n": 3, "weights": [1e20, 1, 1], "threshold": 0.5}, "budget"),  # past int64
     ],
 )
 def test_compute_exact_dp_rejects_bad_weights_with_exit_2(game, message, tmp_path, capsys):

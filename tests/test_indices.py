@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,20 @@ def test_int_ltf_dp_matches_truthtable_on_signed_games(rng):
         else:
             parities.add((math.ceil(thr) + int(w.sum())) % 2)
     assert parities == {0, 1}
+
+
+def test_int_ltf_dp_refuses_huge_weights_by_the_table_budget():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "invalid value encountered in cast"
+        for w in (1e20, -1e20, 1e300):
+            with pytest.raises(ValueError, match="budget"):
+                shapley_int_ltf_dp(VotingGame(np.array([w, 1.0, 1.0]), 0.5))
+
+
+def test_int_ltf_dp_refuses_a_large_half_integer_weight():
+    # rounding 100000.5 to 100000 would flip the point (+1, -1, -1)
+    with pytest.raises(ValueError, match="integer weights"):
+        shapley_int_ltf_dp(VotingGame(np.array([100000.5, 100000.0, 0.0]), 0.25))
 
 
 @pytest.mark.parametrize("n", [63, 68, 80, 100, 200])

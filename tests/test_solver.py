@@ -19,11 +19,12 @@ from shapley_forge.indices import (
     shapley_exact_dp,
     shapley_exact_truthtable,
 )
-from shapley_forge.mu import exact_correlations, mu_weights
+from shapley_forge.mu import exact_correlations
 from shapley_forge.solver import (
     SolveConfig,
     _GridEngine,
-    _OracleGridEngine,
+    _oracle_refresh,
+    _support_refresh,
     exhaustive_baseline,
     solve_is,
     solve_isbw,
@@ -41,16 +42,11 @@ def _realizable(rng, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _DenseReferenceEngine(_GridEngine):
-    """Every row dense from its first append, correlations in float64."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.lin_cap = -1
-
-    def _dense_corr(self, rows: np.ndarray) -> None:
-        H = np.clip(self.gamma * self.S[rows], -1.0, 1.0)
-        self.corr[rows] = (H * mu_weights(self.n)) @ self.Xext32
+def _dense_reference(n: int, A: np.ndarray, gamma: float, **kwargs) -> _GridEngine:
+    """Every row dense from its first append, refreshed in float64 row by row."""
+    eng = _GridEngine(n, A, gamma, _oracle_refresh(n, gamma, exact_enum_oracle(n)), **kwargs)
+    eng.lin_cap = -1
+    return eng
 
 
 def test_engine_dense_reference_replays_scalar_boost(rng):
@@ -59,7 +55,7 @@ def test_engine_dense_reference_replays_scalar_boost(rng):
     gamma = xi / 2.0
 
     scalar = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), stall_window=4096)
-    eng = _DenseReferenceEngine(n, a[None, :], gamma, stall_window=4096)
+    eng = _dense_reference(n, a[None, :], gamma, stall_window=4096)
     eng.run()
     assert bool(eng.converged[0]) == scalar.converged
     assert int(eng.t[0]) == scalar.iterations
@@ -71,9 +67,9 @@ def test_engine_fast_path_matches_dense_reference(rng):
     n, xi = 6, 0.05
     gamma = xi / 2.0
     A = np.stack([_realizable(rng, n) for _ in range(5)])
-    fast = _GridEngine(n, A, gamma, stall_window=4096)
+    fast = _GridEngine(n, A, gamma, _support_refresh(n, gamma), stall_window=4096)
     fast.run()
-    ref_eng = _DenseReferenceEngine(n, A, gamma, stall_window=4096)
+    ref_eng = _dense_reference(n, A, gamma, stall_window=4096)
     ref_eng.run()
     assert np.array_equal(fast.net, ref_eng.net)
     assert np.array_equal(fast.t, ref_eng.t)
@@ -81,11 +77,52 @@ def test_engine_fast_path_matches_dense_reference(rng):
     assert np.abs(fast.corr - ref_eng.corr).max() <= xi / 160.0
 
 
+def _quota_grid(n: int, grid_step: float) -> np.ndarray:
+    target = shapley_exact_dp(QuotaGame(tuple(range(1, n + 1)), n * (n + 1) // 4 + 1)).shapley
+    A, _, _ = solver._target_rows(target, 2.0 / n, solver._grid_axis(grid_step))
+    return A
+
+
+def test_engine_support_refresh_keeps_only_per_row_state():
+    n, gamma = 12, 0.01
+    A = _quota_grid(n, 0.5)
+    eng = _GridEngine(n, A, gamma, _support_refresh(n, gamma), stall_window=4096)
+    eng.lin_cap = 3  # rows go dense after a few appends
+    for _ in range(8):
+        eng.step()
+    assert eng.dense.any()
+    G = A.shape[0]
+    shapes = {v.shape for v in vars(eng).values() if isinstance(v, np.ndarray)}
+    # the per-row state, plus the shared (n+1, n+1) second-moment matrix
+    assert shapes <= {(G,), (G, n + 1), (n + 1, n + 1)}
+
+
+def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
+    n, xi = 10, 0.05
+    A = _quota_grid(n, 0.25)
+
+    def run_engine() -> _GridEngine:
+        eng = _GridEngine(n, A, xi / 2.0, _support_refresh(n, xi / 2.0))
+        eng.run()
+        return eng
+
+    whole = run_engine()
+    assert whole.dense.sum() >= 50
+    monkeypatch.setattr(solver, "_ENUM_BATCH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
+    chunked = run_engine()
+    assert np.array_equal(chunked.net, whole.net)
+    assert np.array_equal(chunked.t, whole.t)
+    # only the float32 sum over the 2^n - 2 support points is ordered
+    # differently; stalled rows with an L1 mass in the thousands move most
+    assert np.abs(chunked.corr - whole.corr).max() <= 1e-5
+
+
 def test_engine_dp_backend_replays_scalar_boost(rng):
     n, xi = 6, 0.05
     a = _realizable(rng, n)
     scalar = boost(BoostTargets(a=a, xi=xi), exact_dp_oracle(n), stall_window=4096)
-    eng = _OracleGridEngine(n, a[None, :], xi / 2.0, exact_dp_oracle(n), stall_window=4096)
+    refresh = _oracle_refresh(n, xi / 2.0, exact_dp_oracle(n))
+    eng = _GridEngine(n, a[None, :], xi / 2.0, refresh, stall_window=4096)
     eng.lin_cap = -1  # every row dense from its first append
     eng.run()
     assert bool(eng.converged[0]) == scalar.converged
@@ -96,19 +133,18 @@ def test_engine_dp_backend_replays_scalar_boost(rng):
 def test_engine_dp_backend_builds_nothing_of_size_2_to_the_n():
     n = 16
     A = np.stack([np.concatenate([[f0], np.full(n, 0.1)]) for f0 in (-0.5, 0.0, 0.5)])
-    eng = _OracleGridEngine(n, A, 0.05, exact_dp_oracle(n), stall_window=4096)
+    eng = _GridEngine(n, A, 0.05, _oracle_refresh(n, 0.05, exact_dp_oracle(n)), stall_window=4096)
     eng.lin_cap = -1
     for _ in range(5):
         eng.step()
     assert eng.dense.all()
     arrays = [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
     assert arrays and max(v.shape[0] for v in arrays) < 2**n
-    assert eng.S is None and not hasattr(eng, "Xext32")
 
 
 def test_engine_shape_validation():
     with pytest.raises(ValueError):
-        _GridEngine(4, np.zeros((3, 4)), 0.05)
+        _GridEngine(4, np.zeros((3, 4)), 0.05, _support_refresh(4, 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +238,7 @@ def test_solve_reports_no_solution_for_unreachable_target():
 
 def test_early_stop_skips_most_of_the_grid():
     target = np.full(3, 2.0 / 3.0)
-    res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-dp", early_stop=True))
+    res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-dp"))
     assert res.status == "solved"
     assert res.grid_evaluated < 41 * 41
 
