@@ -89,7 +89,7 @@ def shapley_exact_dp(game: QuotaGame) -> ShapleyReport:
 def shapley_int_ltf_dp(game: VotingGame) -> ShapleyReport:
     """Index vector of an integer-weight sign game; negative weights allowed."""
     w = np.rint(game.weights)
-    if not np.allclose(game.weights, w, rtol=0, atol=1e-9):
+    if not np.all(np.abs(game.weights - w) <= 1e-9):
         raise ValueError("DP route needs integer weights")
     # in floating point, before a weight past 2^63 can wrap in the cast
     _subsetdp.check_table_budget(game.n, int(np.abs(w).sum()) + 1)

@@ -40,7 +40,7 @@ from .indices import (
     shapley_int_ltf_dp,
     truthtable_coefficient_matrix,
 )
-from .mu import degree1_moment_matrix, enumerate_cube, enumerate_support, lambda_n, mu_weights
+from .mu import enumerate_cube, enumerate_support, lambda_n, mu_weights, pair_correlation
 
 ORACLE_MODES = ("exact-enum", "exact-dp", "sampled")
 # largest n whose exact-mode dense refresh uses the support table
@@ -110,6 +110,12 @@ class _GridEngine:
     the L1 mass crosses the cap the row flips permanently to dense mode, and
     after every append its correlations are recomputed from its net by
     refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
+
+    The live rows are boosted packed, in grid order, at the front of private
+    working arrays, and every live row has made the same number of appends.
+    alive, dense and converged are current after every step.  net, corr and
+    t are current for finished rows, and for every row once run() returns:
+    run() copies the still-live rows back, as copy_back() does.
     """
 
     def __init__(
@@ -124,11 +130,12 @@ class _GridEngine:
     ) -> None:
         self.n = n
         self.gamma = float(gamma)
-        self.A = np.asarray(targets, dtype=np.float64)
-        if self.A.ndim != 2 or self.A.shape[1] != n + 1:
+        A = np.asarray(targets, dtype=np.float64)
+        if A.ndim != 2 or A.shape[1] != n + 1:
             raise ValueError(f"targets must be (G, {n + 1})")
-        self.G = self.A.shape[0]
-        self.cross = degree1_moment_matrix(n)
+        self.G = A.shape[0]
+        # degree1_moment_matrix(n): 1 on the diagonal, rho between voters
+        self.rho = pair_correlation(n)
         self.refresh = refresh
         self.stall_window = math.inf if stall_window is None else int(stall_window)
         self.cap = cap
@@ -136,71 +143,126 @@ class _GridEngine:
         self.net = np.zeros((self.G, n + 1), dtype=np.int64)
         self.corr = np.zeros((self.G, n + 1))
         self.t = np.zeros(self.G, dtype=np.int64)
-        self.best = np.full(self.G, np.inf)
-        self.last_improved = np.zeros(self.G, dtype=np.int64)
         self.alive = np.ones(self.G, dtype=bool)
         self.converged = np.zeros(self.G, dtype=bool)
         self.dense = np.zeros(self.G, dtype=bool)
         # no point clips while the L1 mass of net stays at or below this
         self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
 
+        # the first _live rows of these hold the live rows, in grid order
+        self._live = self.G
+        self._rounds = 0  # appends made by every live row
+        self._row = np.arange(self.G)  # grid index of each packed row
+        self._A = A.copy()
+        self._net = np.zeros_like(self.net)
+        self._corr = np.zeros_like(self.corr)
+        self._best = np.full(self.G, np.inf)
+        self._last_improved = np.zeros(self.G, dtype=np.int64)
+        self._mass = np.zeros(self.G, dtype=np.int64)
+        self._dense = np.zeros(self.G, dtype=bool)
+        self._flat = np.arange(self.G) * (n + 1)  # offset of each packed row
+
     def step(self) -> list[int]:
         """One boosting round for every live row; returns rows that finished."""
-        act = np.nonzero(self.alive)[0]
-        if act.size == 0:
+        L = self._live
+        if L == 0:
             return []
-        viol = self.A[act] - self.corr[act]
-        absv = np.abs(viol)
-        j = np.argmax(absv, axis=1)
-        pick = np.arange(act.size)
-        v = absv[pick, j]
+        T = self._rounds
+        viol = self._A[:L] - self._corr[:L]
+        j = np.abs(viol).argmax(axis=1)
+        at = self._flat[:L] + j
+        vj = viol.ravel()[at]
+        v = np.abs(vj)
         conv = v <= self.gamma
-        improved = v < self.best[act] - self.gamma / 16.0
-        stalled = (~conv) & (~improved) & (self.t[act] - self.last_improved[act] >= self.stall_window)
-        self.converged[act[conv]] = True
-        finished = act[conv | stalled]
-        self.alive[finished] = False
-        imp_rows = act[improved]
-        self.best[imp_rows] = v[improved]
-        self.last_improved[imp_rows] = self.t[imp_rows]
+        improved = v < self._best[:L] - self.gamma / 16.0
+        np.copyto(self._best[:L], v, where=improved)
+        np.copyto(self._last_improved[:L], T, where=improved)
+        done = conv
+        if T >= self.stall_window:
+            done = conv | (~improved & (T - self._last_improved[:L] >= self.stall_window))
 
-        run = ~(conv | stalled)
-        rows = act[run]
-        if rows.size == 0:
-            return finished.tolist()
-        if np.max(self.t[rows]) + 1 > self.cap:
+        finished: list[int] = []
+        if done.any():
+            out = np.flatnonzero(done)
+            g = self._row[out]
+            self.net[g] = self._net[out]
+            self.corr[g] = self._corr[out]
+            self.t[g] = T
+            self.converged[g] = conv[out]
+            self.alive[g] = False
+            finished = g.tolist()
+            keep = np.flatnonzero(~done)
+            L = self._live = keep.size
+            if L == 0:
+                return finished
+            # stable compaction; the rows before the first finished one stay
+            first, tail = out[0], keep[out[0] :]
+            for a in (self._row, self._A, self._net, self._corr, self._best,
+                      self._last_improved, self._mass, self._dense):
+                a[first:L] = a[tail]
+            j, vj = j[keep], vj[keep]
+            at = self._flat[:L] + j
+        if T + 1 > self.cap:
             raise IterationCapError(f"grid row exceeded the round cap {self.cap}")
-        jj = j[run]
-        sg = np.where(viol[pick[run], jj] > 0, 1, -1).astype(np.int64)
-        self.net[rows, jj] += sg
-        self.t[rows] += 1
+        self._rounds = T + 1
 
-        lin = ~self.dense[rows]
-        lrows = rows[lin]
-        self.corr[lrows] += self.gamma * sg[lin, None] * self.cross[jj[lin]]
-        self.dense[lrows[np.abs(self.net[lrows]).sum(axis=1) > self.lin_cap]] = True
-        now_dense = rows[self.dense[rows]]
-        if now_dense.size:
-            self.corr[now_dense] = self.refresh(self.net[now_dense])
-        return finished.tolist()
+        up = vj > 0
+        net = self._net.ravel()
+        old = net[at]
+        new = old + np.where(up, 1, -1)
+        net[at] = new
+        self._mass[:L] += np.abs(new) - np.abs(old)
+
+        # corr += gamma * sign * cross[j] by its structure: +-gamma*rho on
+        # every voter slot (+-0 when j = 0), then +-gamma on slot j itself
+        corr = self._corr.ravel()
+        pick = corr[at]
+        f0 = self._corr[:L, 0].copy()  # whole rows add faster than [:, 1:]
+        sgamma = np.where(up, self.gamma, -self.gamma)
+        self._corr[:L] += (sgamma * np.where(j > 0, self.rho, 0.0))[:, None]
+        self._corr[:L, 0] = f0
+        corr[at] = pick + sgamma
+
+        # the L1 mass is at most the number of appends, T + 1
+        if T + 1 > self.lin_cap:
+            over = self._mass[:L] > self.lin_cap
+            flip = over & ~self._dense[:L]
+            if flip.any():
+                self._dense[:L] |= over
+                self.dense[self._row[:L][flip]] = True
+        dense = np.flatnonzero(self._dense[:L])
+        if dense.size:
+            self._corr[dense] = self.refresh(self._net[dense])
+        return finished
 
     def run(self, checkpoint=None) -> None:
-        """Step until every row has finished.
+        """Step until every row has finished, then copy live rows back.
 
         Every _CHECK_EVERY rounds the rows finished since the last call go to
         checkpoint; a True return stops the run there.
         """
-        pending: list[int] = []
-        k = 0
-        while np.any(self.alive):
-            pending.extend(self.step())
-            k += 1
-            if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
-                if checkpoint(pending):
-                    return
-                pending = []
-        if checkpoint is not None and pending:
-            checkpoint(pending)
+        try:
+            pending: list[int] = []
+            k = 0
+            while self._live:
+                pending.extend(self.step())
+                k += 1
+                if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
+                    if checkpoint(pending):
+                        return
+                    pending = []
+            if checkpoint is not None and pending:
+                checkpoint(pending)
+        finally:
+            self.copy_back()
+
+    def copy_back(self) -> None:
+        """Make net, corr and t current for the still-live rows too."""
+        L = self._live
+        g = self._row[:L]
+        self.net[g] = self._net[:L]
+        self.corr[g] = self._corr[:L]
+        self.t[g] = self._rounds
 
 
 def _support_refresh(n: int, gamma: float):
@@ -264,16 +326,28 @@ def _target_rows(target: np.ndarray, nu: float, axis: np.ndarray) -> tuple[np.nd
 
 
 def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndarray:
-    """Exact index distance for many candidates at once, by truth table."""
-    cube = enumerate_cube(n)
-    ext = np.ones((cube.shape[0], n + 1))
-    ext[:, 1:] = cube
+    """Exact index distance for many candidates at once, by truth table.
+
+    The scores net_0 + net . x are built by doubling in cube order: after
+    voter j the first 2^(j+1) columns hold every sign pattern of voters
+    0..j, the -net_j half first.  They are exact integers in float64, and
+    the signs overwrite them in place.
+    """
     coef = truthtable_coefficient_matrix(n)
-    chunk = max(1, _ENUM_BATCH_BYTES // (8 * cube.shape[0]))
+    chunk = max(1, _ENUM_BATCH_BYTES // (8 * coef.shape[0]))
 
     def dist(rows: np.ndarray) -> np.ndarray:
-        signs = np.where(rows.astype(np.float64) @ ext.T >= 0, 1.0, -1.0)
-        return np.linalg.norm(signs @ coef - target[None, :], axis=1)
+        rows = rows.astype(np.float64)
+        S = np.empty((len(rows), coef.shape[0]))
+        S[:, 0] = rows[:, 0]
+        for j in range(n):
+            half = 1 << j
+            np.add(S[:, :half], rows[:, j + 1 : j + 2], out=S[:, half : 2 * half])
+            S[:, :half] -= rows[:, j + 1 : j + 2]
+        pos = S >= 0
+        S.fill(-1.0)
+        np.copyto(S, 1.0, where=pos)
+        return np.linalg.norm(S @ coef - target[None, :], axis=1)
 
     return np.concatenate([dist(nets[s : s + chunk]) for s in range(0, len(nets), chunk)])
 
@@ -292,7 +366,7 @@ def validate_candidate(
         est, _ = estimate_shapley(ltf_fn(game), n, est_cfg)
         return d_shapley(est, target)
     w_int = np.rint(game.weights)
-    if cfg.oracle_mode == "exact-dp" and np.allclose(game.weights, w_int, rtol=0, atol=1e-9):
+    if cfg.oracle_mode == "exact-dp" and np.all(np.abs(game.weights - w_int) <= 1e-9):
         rep = shapley_int_ltf_dp(game)
         return d_shapley(rep.shapley, target)
     rep = shapley_exact_truthtable(ltf_fn(game), n)

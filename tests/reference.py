@@ -155,3 +155,77 @@ def table_fn1(values: np.ndarray, n: int):
         return float(values[idx])
 
     return fn1
+
+
+class RoundCapError(RuntimeError):
+    """The reference engine's round cap was exceeded."""
+
+
+class LockstepEngine:
+    """Straightforward masked lockstep boosting, one row per grid target.
+
+    Every live row appends the most violated signed literal each round.  A
+    row in linear mode moves its correlations by gamma * sign * cross[j]
+    (cross is the (n+1, n+1) second-moment matrix); once its L1 mass passes
+    lin_cap it is dense for good and refresh(nets) recomputes them after
+    every append.  A row finishes when converged (largest violation at most
+    gamma) or stalled (no improvement by gamma/16 in stall_window rounds).
+    All state is kept per grid row, so it is current after every step.
+    """
+
+    def __init__(self, n, targets, gamma, cross, refresh, *, stall_window=512, cap=math.inf):
+        self.A = np.asarray(targets, dtype=np.float64)
+        G = self.A.shape[0]
+        self.gamma = float(gamma)
+        self.cross = cross
+        self.refresh = refresh
+        self.stall_window = math.inf if stall_window is None else int(stall_window)
+        self.cap = cap
+        self.net = np.zeros((G, n + 1), dtype=np.int64)
+        self.corr = np.zeros((G, n + 1))
+        self.t = np.zeros(G, dtype=np.int64)
+        self.best = np.full(G, np.inf)
+        self.last_improved = np.zeros(G, dtype=np.int64)
+        self.alive = np.ones(G, dtype=bool)
+        self.converged = np.zeros(G, dtype=bool)
+        self.dense = np.zeros(G, dtype=bool)
+        self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
+
+    def step(self) -> list:
+        act = np.nonzero(self.alive)[0]
+        if act.size == 0:
+            return []
+        viol = self.A[act] - self.corr[act]
+        absv = np.abs(viol)
+        j = np.argmax(absv, axis=1)
+        pick = np.arange(act.size)
+        v = absv[pick, j]
+        conv = v <= self.gamma
+        improved = v < self.best[act] - self.gamma / 16.0
+        stalled = (~conv) & (~improved) & (self.t[act] - self.last_improved[act] >= self.stall_window)
+        self.converged[act[conv]] = True
+        finished = act[conv | stalled]
+        self.alive[finished] = False
+        imp_rows = act[improved]
+        self.best[imp_rows] = v[improved]
+        self.last_improved[imp_rows] = self.t[imp_rows]
+
+        run = ~(conv | stalled)
+        rows = act[run]
+        if rows.size == 0:
+            return finished.tolist()
+        if np.max(self.t[rows]) + 1 > self.cap:
+            raise RoundCapError(f"grid row exceeded the round cap {self.cap}")
+        jj = j[run]
+        sg = np.where(viol[pick[run], jj] > 0, 1, -1).astype(np.int64)
+        self.net[rows, jj] += sg
+        self.t[rows] += 1
+
+        lin = ~self.dense[rows]
+        lrows = rows[lin]
+        self.corr[lrows] += self.gamma * sg[lin, None] * self.cross[jj[lin]]
+        self.dense[lrows[np.abs(self.net[lrows]).sum(axis=1) > self.lin_cap]] = True
+        now_dense = rows[self.dense[rows]]
+        if now_dense.size:
+            self.corr[now_dense] = self.refresh(self.net[now_dense])
+        return finished.tolist()

@@ -18,6 +18,7 @@ from shapley_forge.indices import (
     d_shapley,
     shapley_exact_dp,
     shapley_exact_truthtable,
+    shapley_int_ltf_dp,
 )
 from shapley_forge.mu import exact_correlations
 from shapley_forge.solver import (
@@ -159,6 +160,25 @@ def test_validate_candidate_modes_agree():
     d_dp = validate_candidate(target, g, SolveConfig(oracle_mode="exact-dp"))
     assert d_enum == pytest.approx(0.0, abs=1e-13)
     assert d_dp == pytest.approx(d_enum, abs=1e-13)
+
+
+def test_integer_weight_check_is_absolute_1e9(monkeypatch):
+    target = np.array([1.0, 0.5, 0.25, 0.25])
+    exact = VotingGame(np.array([3.0, 2.0, 1.0, 1.0]), 3.5)
+    near = VotingGame(np.array([3.0 + 5e-10, 2.0, 1.0, 1.0]), 3.5)
+    off = VotingGame(np.array([3.0 + 2e-9, 2.0, 1.0, 1.0]), 3.5)
+    assert np.array_equal(shapley_int_ltf_dp(near).shapley, shapley_int_ltf_dp(exact).shapley)
+    with pytest.raises(ValueError, match="integer weights"):
+        shapley_int_ltf_dp(off)
+
+    dp_calls = []
+    monkeypatch.setattr(solver, "shapley_int_ltf_dp", lambda g: dp_calls.append(g) or shapley_int_ltf_dp(g))
+    cfg = SolveConfig(oracle_mode="exact-dp")
+    assert validate_candidate(target, near, cfg) == d_shapley(shapley_int_ltf_dp(exact).shapley, target)
+    assert dp_calls == [near]
+    d_off = validate_candidate(target, off, cfg)
+    assert dp_calls == [near]  # scored by the truth table instead
+    assert d_off == d_shapley(shapley_exact_truthtable(ltf_fn(off), 4).shapley, target)
 
 
 # ---------------------------------------------------------------------------
