@@ -15,7 +15,10 @@ than i unroll to G_i[k, u] = sum_j (-1)^j F[k - j, u - j*w_i], and under a
 step profile voter i swings exactly when the others' sum u falls in one
 window: [t - w_i, t) for w_i > 0, [t, t - w_i) for w_i < 0.  So a swing
 count is an alternating sum of window sums of F, each two lookups into the
-row prefix sums of F.
+row prefix sums of F.  Only the windows depend on t: games that share a
+weight vector and differ in threshold share one table, one set of prefix
+sums and one grouping of voters by weight, and _window_swings counts them
+all in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 _INT64_MAX_N = 62
 # budget of one (n+1) x width count table, at 8 bytes a cell
 _TABLE_BYTES = 256 << 20
-# bytes of the (j, k, weight) window gathers in one block of shifts j
+# bytes of the (t, j, k, weight) window gathers in one block of steps t and shifts j
 _GATHER_BYTES = 32 << 20
 
 
@@ -125,41 +128,52 @@ def mu_correlations_affine(weights, phi, pmf_point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_swings(w: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Swing counts across the step at t, one column per distinct weight.
+def _window_swings(w: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Swing counts across each step in ts, one column per distinct weight.
 
     Returns (S, vals, inv): vals are the distinct weights, inv maps each
-    voter to its column, and S[k, g] counts the k-subsets of the other
-    voters whose sum u puts u and u + vals[g] on opposite sides of t (the
-    window of the module docstring).  Int64 arithmetic wraps in a ring, so
-    S is exact whenever its entries fit, which the table's dtype ensures.
+    voter to its column, and S[i, k, g] counts the k-subsets of the other
+    voters whose sum u puts u and u + vals[g] on opposite sides of ts[i]
+    (the window of the module docstring).  Every step reads the same table
+    and prefix sums; only its windows move.  Int64 arithmetic wraps in a
+    ring, so S is exact whenever its entries fit, which the table's dtype
+    ensures.
     """
     F, off = subset_count_table(w)
     n, width = w.size, F.shape[1]
-    vals, inv = np.unique(w, return_inverse=True)
+    # np.unique(w, return_inverse=True) costs twice this at small n, and
+    # plain np.unique (numpy 2.4) loads a hash table worth 1 MB of peak RSS
+    vals = np.sort(w)
+    vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+    inv = np.searchsorted(vals, w)
     # outside [lo, hi + 1] every window is empty, and t stays in int64
-    t = min(max(int(t), -off), width - off) + off
-    a = t - np.maximum(vals, 0)
-    b = t - np.minimum(vals, 0)
+    t = np.array([min(max(int(v), -off), width - off) + off for v in ts], dtype=np.int64)
+    a = t[:, None] - np.maximum(vals, 0)
+    b = t[:, None] - np.minimum(vals, 0)
 
     # P[r, c] = sum of F[r, :c]; row n is never needed (k - j <= n - 1) and
     # is zeroed to serve as the target of every r = k - j < 0
     P = np.zeros((n + 1, width + 1), dtype=F.dtype)
     np.cumsum(F[:n], axis=1, out=P[:n, 1:])
 
+    # each (t, j) pair of a block gathers 24 * n * vals.size bytes
     k = np.arange(n)
-    step = max(2, _GATHER_BYTES // (24 * n * vals.size)) // 2 * 2  # even: j0 stays even
-    S = np.zeros((n, vals.size), dtype=F.dtype)
+    pair = 24 * n * vals.size
+    step = max(2, _GATHER_BYTES // pair) // 2 * 2  # even: j0 stays even
+    t_step = max(1, _GATHER_BYTES // (pair * min(step, n)))
+    S = np.zeros((t.size, n, vals.size), dtype=F.dtype)
     for j0 in range(0, n, step):
         j = np.arange(j0, min(n, j0 + step))
         r = k[None, :] - j[:, None]
         r[r < 0] = n
-        shift = j[:, None] * vals[None, :]
-        hi = np.clip(b - shift, 0, width)[:, None, :]
-        lo = np.clip(a - shift, 0, width)[:, None, :]
         r = r[:, :, None]
-        win = P[r, hi] - P[r, lo]  # (j, k, g) window sums of F[k - j]
-        S += win[0::2].sum(axis=0) - win[1::2].sum(axis=0)
+        shift = j[:, None] * vals[None, :]
+        for t0 in range(0, t.size, t_step):
+            blk = slice(t0, t0 + t_step)
+            hi = np.clip(b[blk, None, :] - shift, 0, width)[:, :, None, :]
+            lo = np.clip(a[blk, None, :] - shift, 0, width)[:, :, None, :]
+            win = P[r, hi] - P[r, lo]  # (t, j, k, g) window sums of F[k - j]
+            S[blk] += win[:, 0::2].sum(axis=1) - win[:, 1::2].sum(axis=1)
     return S, vals, inv
 
 
@@ -189,8 +203,8 @@ def shapley_affine(weights, threshold: float) -> np.ndarray:
     w = _int_weights(weights)
     # w.x = 2u - total is an integer, so w.x >= threshold iff u >= t
     t = -((-math.ceil(threshold) - sum(w.tolist())) // 2)
-    S, vals, inv = _window_swings(w, t)
-    return (2.0 * np.sign(vals) * _pivot_probabilities(S))[inv]
+    S, vals, inv = _window_swings(w, [t])
+    return (2.0 * np.sign(vals) * _pivot_probabilities(S[0]))[inv]
 
 
 def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
@@ -198,5 +212,5 @@ def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
     w = _int_weights(int_weights)
     if np.any(w < 0):
         raise ValueError("quota games need nonnegative weights")
-    S, _, inv = _window_swings(w, quota)
-    return _pivot_probabilities(S)[inv]
+    S, _, inv = _window_swings(w, [quota])
+    return _pivot_probabilities(S[0])[inv]

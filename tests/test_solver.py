@@ -23,6 +23,7 @@ from shapley_forge.indices import (
 from shapley_forge.mu import exact_correlations
 from shapley_forge.solver import (
     SolveConfig,
+    _exact_d_dp_batch,
     _GridEngine,
     _oracle_refresh,
     _support_refresh,
@@ -109,7 +110,7 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
 
     whole = run_engine()
     assert whole.dense.sum() >= 50
-    monkeypatch.setattr(solver, "_ENUM_BATCH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
+    monkeypatch.setattr(solver, "_REFRESH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
     chunked = run_engine()
     assert np.array_equal(chunked.net, whole.net)
     assert np.array_equal(chunked.t, whole.t)
@@ -179,6 +180,54 @@ def test_integer_weight_check_is_absolute_1e9(monkeypatch):
     d_off = validate_candidate(target, off, cfg)
     assert dp_calls == [near]  # scored by the truth table instead
     assert d_off == d_shapley(shapley_exact_truthtable(ltf_fn(off), 4).shapley, target)
+
+
+def _one_by_one(nets, target):
+    cfg = SolveConfig(oracle_mode="exact-dp")
+    return [validate_candidate(target, game_from_net(net), cfg) for net in nets]
+
+
+@pytest.mark.parametrize("n", [3, 16, 20, 63, 70])
+def test_grouped_dp_validation_equals_per_candidate(n, rng):
+    # three weight vectors, one all zero, each under several thresholds,
+    # some beyond +-total where the game is constant; n > 62 counts in
+    # Python ints
+    W = rng.integers(-6, 9, size=(3, n))
+    W[1] = 0
+    nets = []
+    for w in W:
+        total = int(np.abs(w).sum())
+        for t0 in (-total - 3, -total, -total + 1, 0, 1, total - 1, total, total + 7):
+            nets.append([t0, *w])
+        nets += [[int(t0), *w] for t0 in rng.integers(-total, total + 1, size=4)]
+    nets = np.array(nets, dtype=np.int64)[rng.permutation(len(nets))]
+    target = rng.uniform(0.0, 4.0 / n, size=n)
+    assert _exact_d_dp_batch(nets, target).tolist() == _one_by_one(nets, target)
+
+
+def test_grouped_dp_validation_refuses_an_over_budget_table():
+    target = np.full(3, 2.0 / 3.0)
+    nets = np.array([[1, 1, 1, 1], [0, 10**12, 1, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="budget") as one:
+        _one_by_one(nets, target)
+    with pytest.raises(ValueError, match="budget") as grouped:
+        _exact_d_dp_batch(nets, target)
+    assert str(grouped.value) == str(one.value)
+
+
+@pytest.mark.parametrize("target", [
+    shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8), 30)).shapley,
+    np.array([1.5, -0.5, 1.0, 0.25, -0.25]),  # unreachable: every cell is swept
+])
+def test_exact_dp_solve_with_grouped_validation_matches_per_candidate(monkeypatch, target):
+    cfg = SolveConfig(xi=0.02, grid_step=0.2, oracle_mode="exact-dp")
+    got = solve_is(target, cfg)
+    monkeypatch.setattr(solver, "_exact_d_dp_batch", lambda nets, t: np.array(_one_by_one(nets, t)))
+    want = solve_is(target, cfg)
+    assert (got.status, got.est_dshapley, got.boost_iterations, got.grid_evaluated, got.guess) == (
+        want.status, want.est_dshapley, want.boost_iterations, want.grid_evaluated, want.guess)
+    assert np.array_equal(got.game.weights, want.game.weights)
+    assert got.game.threshold == want.game.threshold
 
 
 # ---------------------------------------------------------------------------

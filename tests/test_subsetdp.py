@@ -59,6 +59,16 @@ def test_table_over_budget_is_refused_before_allocation():
 
 def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
     w = rng.integers(-5, 8, size=41)
-    whole = _subsetdp._window_swings(w, 17)[0]
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # two shifts j per block
-    assert np.array_equal(_subsetdp._window_swings(w, 17)[0], whole)
+    total = int(np.abs(w).sum())
+    # steps inside the table, at its edges, beyond them and past int64
+    ts = [17, -total - 2, -total, 0, total, total + 9, -(10**30), 10**30]
+    ts += rng.integers(-total, total + 1, size=40).tolist()
+    whole = _subsetdp._window_swings(w, ts)[0]
+    assert whole.shape == (len(ts), 41, np.unique(w).size)
+    for t, S in zip(ts, whole):
+        assert np.array_equal(_subsetdp._window_swings(w, [t])[0][0], S)
+    pair = 24 * 41 * np.unique(w).size  # gather bytes per (step, shift) pair
+    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 3 * 42 * pair)  # 3 steps, all shifts
+    assert np.array_equal(_subsetdp._window_swings(w, ts)[0], whole)
+    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # one step and two shifts j per block
+    assert np.array_equal(_subsetdp._window_swings(w, ts)[0], whole)
