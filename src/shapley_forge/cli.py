@@ -2,7 +2,8 @@
 
 Subcommands: compute (exact or sampled index vector of a game file),
 estimate (accuracy-driven sampling), solve / solve-bounded (grid-search
-synthesis from a target file), sample-mu (draws from the slice
+synthesis from a target file; exact and seedless, by the subset DP or with
+--oracle enum the truth table), sample-mu (draws from the slice
 distribution), diagnose (anti-concentration and distance reports), and a
 hidden boost-debug trace.
 
@@ -247,7 +248,7 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-_ORACLE_FLAGS = {"enum": "exact-enum", "dp": "exact-dp", "sampled": "sampled"}
+_ORACLE_FLAGS = {"enum": "exact-enum", "dp": "exact-dp"}
 
 
 def _cmd_solve(args, bounded: bool) -> int:
@@ -261,8 +262,6 @@ def _cmd_solve(args, bounded: bool) -> int:
             epsilon=args.epsilon,
             xi=args.xi,
             grid_step=args.grid,
-            delta=args.delta,
-            seed=args.seed,
             oracle_mode=_ORACLE_FLAGS[args.oracle],
             weight_bound=getattr(args, "weight_bound", None),
         )
@@ -283,9 +282,7 @@ def _cmd_solve(args, bounded: bool) -> int:
         "status": res.status,
         "guess": [res.guess.f_star_0, res.guess.mean_corr],
         "iterations": res.boost_iterations,
-        "manifest": _manifest(
-            "solve-bounded" if bounded else "solve", vars(args), args.seed, res.status
-        ),
+        "manifest": _manifest("solve-bounded" if bounded else "solve", vars(args), None, res.status),
     }
     _emit_json(payload, args.out)
     return 0 if res.status == "solved" else 1
@@ -316,65 +313,37 @@ def _cmd_diagnose(args) -> int:
 
     mode = args.mode
     seed = args.seed
-    if mode == "anticonc-mu":
-        game = _load_game(args.game)
-        rep = dg.anticonc_mu(game, args.r, samples=args.samples, seed=seed)
-        header = ["distribution", "method", "n", "r", "estimate", "stderr", "samples"]
-        rows = [[rep.distribution, rep.method, game.n, rep.r, rep.estimate, rep.stderr, rep.samples]]
-    elif mode == "balanced":
-        game = _load_game(args.game)
-        if args.i is None:
-            _die("balanced mode needs --i (prefix length)")
-        w0 = -game.threshold if args.w0 is None else args.w0
-        try:
+    try:
+        if mode == "anticonc-mu":
+            game = _load_game(args.game)
+            rep = dg.anticonc_mu(game, args.r, samples=args.samples, seed=seed)
+            header = ["distribution", "method", "n", "r", "estimate", "stderr", "samples"]
+            rows = [[rep.distribution, rep.method, game.n, rep.r, rep.estimate, rep.stderr, rep.samples]]
+        elif mode == "balanced":
+            game = _load_game(args.game)
+            if args.i is None:
+                _die("balanced mode needs --i (prefix length)")
+            w0 = -game.threshold if args.w0 is None else args.w0
             bound = dg.balanced_prefix_bound(game.n, args.i, args.eta)
             rep = dg.balanced_fraction(w0, game.weights, args.i, args.r, samples=args.samples, seed=seed)
-        except ValueError as exc:
-            _die(str(exc))
-        ok = rep.estimate <= bound + 5.0 * rep.stderr
-        header = ["n", "i", "w0", "r", "estimate", "stderr", "samples", "method", "bound", "within_bound"]
-        rows = [[game.n, args.i, w0, rep.r, rep.estimate, rep.stderr, rep.samples, rep.method, bound, ok]]
-    elif mode == "anticonc-biased":
-        game = _load_game(args.game)
-        try:
+            ok = rep.estimate <= bound + 5.0 * rep.stderr
+            header = ["n", "i", "w0", "r", "estimate", "stderr", "samples", "method", "bound", "within_bound"]
+            rows = [[game.n, args.i, w0, rep.r, rep.estimate, rep.stderr, rep.samples, rep.method, bound, ok]]
+        elif mode == "anticonc-biased":
+            game = _load_game(args.game)
             dist = dg.BiasedDist(game.n, args.bias)
-        except ValueError as exc:
-            _die(str(exc))
-        rep, bound, violated = dg.anticonc_biased(game, args.r, dist, samples=args.samples, seed=seed)
-        header = ["n", "bias", "r", "estimate", "stderr", "samples", "method", "bound", "violated"]
-        rows = [[game.n, args.bias, rep.r, rep.estimate, rep.stderr, rep.samples, rep.method, bound, violated]]
-    else:  # distances
-        if not args.other:
-            _die("distances mode needs --other GAME")
-        f_game = _load_game(args.game)
-        g_game = _load_game(args.other)
-        if f_game.n != g_game.n:
-            _die("games must have the same number of voters")
-        if f_game.n > 12:
-            _die("distance reports are capped at n=12")
-        rep = dg.ltf_distance_report(f_game, g_game)
-        header = [
-            "n",
-            "d_shapley",
-            "d_fourier",
-            "corr_gap",
-            "shapley_bound",
-            "shapley_slack",
-            "fourier_bound",
-            "fourier_slack",
-        ]
-        rows = [
-            [
-                rep.n,
-                rep.d_shapley,
-                rep.d_fourier,
-                rep.corr_gap,
-                rep.shapley_bound,
-                rep.shapley_slack,
-                rep.fourier_bound,
-                rep.fourier_slack,
-            ]
-        ]
+            rep, bound, violated = dg.anticonc_biased(game, args.r, dist, samples=args.samples, seed=seed)
+            header = ["n", "bias", "r", "estimate", "stderr", "samples", "method", "bound", "violated"]
+            rows = [[game.n, args.bias, rep.r, rep.estimate, rep.stderr, rep.samples, rep.method, bound, violated]]
+        else:  # distances
+            if not args.other:
+                _die("distances mode needs --other GAME")
+            rep = dg.ltf_distance_report(_load_game(args.game), _load_game(args.other))
+            header = ["n", "d_shapley", "d_fourier", "corr_gap", "shapley_bound", "shapley_slack",
+                      "fourier_bound", "fourier_slack"]
+            rows = [[getattr(rep, k) for k in header]]
+    except ValueError as exc:
+        _die(str(exc))
     rows = [[_fmt_cell(v) for v in row] for row in rows]
     man = _manifest("diagnose", vars(args), seed, "ok")
     _emit_csv(header, rows, args.out, man)
@@ -444,9 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, default=None)
         p.add_argument("--xi", type=float, default=0.005)
         p.add_argument("--grid", type=float, default=0.05)
-        p.add_argument("--delta", type=float, default=0.01)
-        p.add_argument("--seed", type=_seed, default=0)
-        p.add_argument("--oracle", choices=("enum", "dp", "sampled"), default="enum")
+        p.add_argument("--oracle", choices=tuple(_ORACLE_FLAGS), default="dp")
         if bounded:
             p.add_argument("--weight-bound", type=float, required=True)
         p.add_argument("--out", default=None)

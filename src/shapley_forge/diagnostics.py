@@ -60,6 +60,13 @@ class BiasedDist:
             raise ValueError(f"bias must lie in (0,1), got {self.bias}")
 
 
+def _check_probe(r: float, samples: int) -> None:
+    if not r >= 0:  # refuses NaN too
+        raise ValueError(f"r must be nonnegative, got {r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+
+
 def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcReport:
     m = hits.size
     p = float(hits.mean())
@@ -69,8 +76,7 @@ def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcRep
 
 def anticonc_mu(game: VotingGame, r: float, *, samples: int = 200_000, seed: int = 0) -> AntiConcReport:
     """Mass of |w.x - theta| < r (strict) under the slice distribution."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_probe(r, samples)
     n = game.n
     if n <= EXACT_CAP:
         scores = enumerate_support(n) @ game.weights - game.threshold
@@ -95,8 +101,7 @@ def balanced_fraction(
     n = w.size
     if not 0 <= i <= n:
         raise ValueError(f"prefix length must lie in [0, {n}], got {i}")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_probe(r, samples)
     tot = float(w.sum())
     if n <= BALANCED_EXACT_CAP:
         hits = 0
@@ -144,8 +149,7 @@ def anticonc_biased(
     Returns (report, bound, violated); the bound is vacuous (inf) when no
     weight reaches r, and a sampled violation needs a 5-sigma excess.
     """
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    _check_probe(r, samples)
     if dist.n != game.n:
         raise ValueError(f"dimension mismatch: game n={game.n}, distribution n={dist.n}")
     n = game.n

@@ -38,6 +38,17 @@ class VotingGame:
         return int(self.weights.size)
 
 
+def _integral(value, what: str) -> int:
+    """value as an int; refuses any value that int() would change."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class QuotaGame:
     """Human-facing encoding: yes-set S passes iff sum of its weights >= quota."""
@@ -46,12 +57,12 @@ class QuotaGame:
     quota: int
 
     def __post_init__(self) -> None:
-        ws = tuple(int(w) for w in self.int_weights)
+        ws = tuple(_integral(w, "quota-game weight") for w in self.int_weights)
         if len(ws) < 1:
             raise ValueError("need at least one voter")
         if any(w < 0 for w in ws):
             raise ValueError("quota-game weights must be nonnegative integers")
-        q = int(self.quota)
+        q = _integral(self.quota, "quota")
         if not 0 < q <= sum(ws):
             raise ValueError(f"quota must satisfy 0 < q <= total, got q={q} total={sum(ws)}")
         object.__setattr__(self, "int_weights", ws)
@@ -155,10 +166,10 @@ def quota_from_dict(obj: dict) -> QuotaGame:
     for key in ("n", "weights", "quota"):
         if key not in obj:
             raise ValueError(f"quota file missing field '{key}'")
-    weights = [int(w) for w in obj["weights"]]
+    weights = tuple(obj["weights"])
     if int(obj["n"]) != len(weights):
         raise ValueError(f"quota file: n={obj['n']} but {len(weights)} weights given")
-    return QuotaGame(tuple(weights), int(obj["quota"]))
+    return QuotaGame(weights, obj["quota"])
 
 
 def load_game(path: str) -> VotingGame:

@@ -5,41 +5,35 @@ to two unknowns: the game's mean under the slice distribution and the mean
 of its coordinate correlations.  The solver sweeps a grid over that square,
 runs the boosting loop against each implied correlation vector, thresholds
 each resulting clipped form into a voting game and keeps any candidate whose
-(estimated or exact) index distance clears the acceptance margin 8*eps/10.
+exact index distance clears the acceptance margin 8*eps/10.
 
 The whole grid is boosted in lockstep by one vectorized engine, at every n
-and in every oracle mode.  A row's integer net is its whole state.  Rows stay
+and in both oracle modes.  A row's integer net is its whole state.  Rows stay
 in a closed-form "linear" regime while their running sums provably never
 clip, and move one-way into a dense regime whose correlations are recomputed
 from the net after every append by one refresh callable: from the support
-table in the exact modes up to n = 14, by one subset-DP oracle call per row
-above it, and by one sampled oracle call per row in sampled mode.
+table up to n = 14 and by one subset-DP oracle call per row above it.  Both
+are exact, so the boosting oracle never samples.
 
-The rows that finished go to validation in batches.  In exact-enum mode one
-truth-table pass scores a batch; in exact-DP mode the batch's rows are
-grouped by weight vector (finished rows often share one and differ only in
-the threshold net_0), and each group is scored from one subset table in
-which only the threshold window moves (see _subsetdp).
+Every row is scored exactly once, at the checkpoint where it finishes.  In
+exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
+batch's rows are grouped by weight vector (finished rows often share one and
+differ only in the threshold net_0), and each group is scored from one
+subset table in which only the threshold window moves (see _subsetdp).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _subsetdp
-from .boosting import (
-    BoostState,
-    IterationCapError,
-    exact_dp_oracle,
-    game_from_net,
-    sampled_oracle,
-)
-from .estimators import EstimateConfig, estimate_shapley
+from .boosting import BoostState, IterationCapError, exact_dp_oracle, game_from_net
 from .games import VotingGame, ltf_fn
 from .indices import (
     d_shapley,
@@ -49,7 +43,7 @@ from .indices import (
 )
 from .mu import enumerate_cube, enumerate_support, lambda_n, mu_weights, pair_correlation
 
-ORACLE_MODES = ("exact-enum", "exact-dp", "sampled")
+ORACLE_MODES = ("exact-enum", "exact-dp")
 # largest n whose exact-mode dense refresh uses the support table
 _ENUM_CAP = 14
 # rounds between two validations of the rows that finished in between
@@ -66,15 +60,11 @@ class SolveConfig:
     epsilon: float | None = None
     xi: float = 0.005
     grid_step: float = 0.05
-    delta: float = 0.01
-    seed: int = 0
-    oracle_mode: str = "exact-enum"
+    oracle_mode: str = "exact-dp"
     weight_bound: float | None = None
-    stall_window: int = 512
+    stall_window: int | None = 512
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.oracle_mode not in ORACLE_MODES:
             raise ValueError(f"oracle_mode must be one of {ORACLE_MODES}, got {self.oracle_mode!r}")
         if not 0 < self.grid_step <= 2:
@@ -83,8 +73,9 @@ class SolveConfig:
             raise ValueError("xi must lie in (0, 1]")
         if self.epsilon is not None and not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        sw = self.stall_window
+        if sw is not None and (isinstance(sw, bool) or not isinstance(sw, numbers.Integral) or sw < 1):
+            raise ValueError(f"stall_window must be None or an integer >= 1, got {sw!r}")
 
 
 @dataclass(frozen=True)
@@ -386,25 +377,13 @@ def _exact_d_dp_batch(nets: np.ndarray, target: np.ndarray) -> np.ndarray:
     return ds
 
 
-def validate_candidate(
-    target: np.ndarray, game: VotingGame, cfg: SolveConfig, *, seed: int | None = None
-) -> float:
-    """Index distance of a candidate: exact when the oracle mode is exact."""
+def validate_candidate(target: np.ndarray, game: VotingGame, cfg: SolveConfig) -> float:
+    """Exact index distance of a candidate, by the config's oracle mode."""
     target = np.asarray(target, dtype=np.float64)
-    n = game.n
-    if cfg.oracle_mode == "sampled":
-        eps = cfg.epsilon if cfg.epsilon is not None else 0.1
-        est_cfg = EstimateConfig(
-            gamma=eps / 10.0, delta=cfg.delta / 2.0, seed=cfg.seed if seed is None else seed
-        )
-        est, _ = estimate_shapley(ltf_fn(game), n, est_cfg)
-        return d_shapley(est, target)
     w_int = np.rint(game.weights)
     if cfg.oracle_mode == "exact-dp" and np.all(np.abs(game.weights - w_int) <= 1e-9):
-        rep = shapley_int_ltf_dp(game)
-        return d_shapley(rep.shapley, target)
-    rep = shapley_exact_truthtable(ltf_fn(game), n)
-    return d_shapley(rep.shapley, target)
+        return d_shapley(shapley_int_ltf_dp(game).shapley, target)
+    return d_shapley(shapley_exact_truthtable(ltf_fn(game), game.n).shapley, target)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +413,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
     if cfg.oracle_mode == "exact-enum" and n > 20:
-        raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp or sampled")
+        raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp")
     eps = cfg.epsilon if cfg.epsilon is not None else default_eps
     accept_at = 0.8 * eps
     nu = 2.0 / n
@@ -449,74 +428,51 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     A, f0s, means = _target_rows(target, nu, axis)
     cap = math.ceil(64.0 / xi**2)
 
-    (d, iters, g, net), status, evaluated = _solve_engine(target, cfg, xi, accept_at, A, cap)
+    engine, g, d, status = _solve_engine(target, cfg, xi, accept_at, A, cap)
     return SolveResult(
-        game=game_from_net(net),
+        game=game_from_net(engine.net[g]),
         est_dshapley=d,
         guess=GuessPoint(float(f0s[g]), float(means[g])),
-        boost_iterations=iters,
+        boost_iterations=int(engine.t[g]),
         status=status,
         nu_warning=nu_warning,
-        grid_evaluated=evaluated,
+        grid_evaluated=int(np.count_nonzero(~engine.alive)),
     )
 
 
-def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple:
-    """Lockstep grid; returns ((distance, iterations, cell, net), status, cells run)."""
+def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int, float, str]:
+    """Lockstep grid; returns (engine, chosen cell, its distance, status).
+
+    run() hands every row to the checkpoint where it finishes, and each is
+    scored there once.  The run stops at the first checkpoint that accepts a
+    row, and the lowest (distance, rounds, cell) accepted row wins; if none
+    is accepted every row was scored, and the lowest (distance, cell) wins.
+    """
     n = target.size
-    G = A.shape[0]
     gamma = xi / 2.0
-    sampled = cfg.oracle_mode == "sampled"
-    if sampled:
-        delta_each = (cfg.delta / 2.0) / (G * (cap + 1))
-        refresh = _oracle_refresh(n, gamma, sampled_oracle(n, xi, delta_each, cfg.seed))
-    elif n > _ENUM_CAP:
+    if n > _ENUM_CAP:
         refresh = _oracle_refresh(n, gamma, exact_dp_oracle(n))
     else:
         refresh = _support_refresh(n, gamma)
     engine = _GridEngine(n, A, gamma, refresh, stall_window=cfg.stall_window, cap=cap)
-    accepted: list[tuple] = []  # (est, iterations, grid index)
-    seen: dict[int, float] = {}
-    rng = np.random.default_rng(cfg.seed ^ 0x5EED)
-
-    def score(g: int) -> float:
-        game = game_from_net(engine.net[g])
-        return validate_candidate(target, game, cfg, seed=int(rng.integers(2**63)))
-
-    def validate(rows: list[int]) -> None:
-        # a sampled score is costly, so only converged rows get one
-        rows = [g for g in rows if g not in seen and (engine.converged[g] or not sampled)]
-        if not rows:
-            return
-        if cfg.oracle_mode == "exact-enum":
-            ds = _exact_d_enum_batch(engine.net[rows], target, n)
-        elif cfg.oracle_mode == "exact-dp":
-            ds = _exact_d_dp_batch(engine.net[rows], target)
-        else:
-            ds = [score(g) for g in rows]
-        for g, d in zip(rows, ds):
-            seen[g] = float(d)
-            if d <= accept_at:
-                accepted.append((float(d), int(engine.t[g]), int(g)))
+    d = np.full(A.shape[0], np.inf)
 
     def checkpoint(finished: list[int]) -> bool:
-        # stalled rows still carry usable candidates in the exact modes
-        validate(finished)
-        return bool(accepted)
+        nets = engine.net[finished]
+        if cfg.oracle_mode == "exact-enum":
+            d[finished] = _exact_d_enum_batch(nets, target, n)
+        else:
+            d[finished] = _exact_d_dp_batch(nets, target)
+        return bool((d[finished] <= accept_at).any())
 
     engine.run(checkpoint)
 
-    if not accepted and not sampled:
-        # converged rows failed the margin; sweep everything, stalled included
-        validate(list(range(G)))
-    if not seen:
-        seen[0] = score(0)  # sampled mode and no row converged
-    evaluated = int(np.count_nonzero(~engine.alive))
-    if accepted:
-        d, iters, g = min(accepted)
-        return (d, iters, g, engine.net[g]), "solved", evaluated
-    g = min(seen, key=lambda k: (seen[k], k))
-    return (seen[g], int(engine.t[g]), g, engine.net[g]), "no-solution", evaluated
+    accepted = np.flatnonzero(d <= accept_at)
+    if accepted.size:
+        _, _, g = min(zip(d[accepted].tolist(), engine.t[accepted].tolist(), accepted.tolist()))
+        return engine, g, float(d[g]), "solved"
+    g = int(np.argmin(d))
+    return engine, g, float(d[g]), "no-solution"
 
 
 def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]:

@@ -80,6 +80,8 @@ def test_compute_exact_enum(game_file, capsys):
         ({"n": 3, "weights": [10**12, 1, 1], "quota": 2}, "budget"),  # a 29 TiB subset table
         ({"n": 3, "weights": [1.5, 1, 1], "threshold": 0.5}, "integer weights"),
         ({"n": 3, "weights": [1e20, 1, 1], "threshold": 0.5}, "budget"),  # past int64
+        ({"n": 3, "weights": [49.7, 49, 2], "quota": 51}, "weight must be an integer"),
+        ({"n": 3, "weights": [49, 49, 2], "quota": 51.9}, "quota must be an integer"),
     ],
 )
 def test_compute_exact_dp_rejects_bad_weights_with_exit_2(game, message, tmp_path, capsys):
@@ -134,15 +136,12 @@ def test_estimate_rejects_infinite_gamma(game_file, capsys):
         ["compute", "--samples", "1"],
         ["estimate"],
         ["sample-mu", "-n", "3", "--samples", "2"],
-        ["solve", "--xi", "0.05"],
     ],
-    ids=["compute", "estimate", "sample-mu", "solve"],
+    ids=["compute", "estimate", "sample-mu"],
 )
-def test_negative_seed_exits_2(game_file, target_file, capsys, cmd):
+def test_negative_seed_exits_2(game_file, capsys, cmd):
     if cmd[0] in ("compute", "estimate"):
         cmd = [cmd[0], "--game", game_file, *cmd[1:]]
-    elif cmd[0] == "solve":
-        cmd = [cmd[0], "--target", target_file, *cmd[1:]]
     code, out, err = run_app([*cmd, "--seed", "-1"], capsys)
     assert code == 2
     assert out == ""
@@ -177,6 +176,15 @@ def test_solve_writes_file_and_exits_0(target_file, tmp_path, capsys):
     assert len(doc["weights"]) == 3
     assert len(doc["guess"]) == 2
     assert doc["manifest"]["outcome"] == "solved"
+
+
+def test_solve_defaults_to_exact_dp_and_records_no_seed(target_file, capsys):
+    code, out, err = run_app(["solve", "--target", target_file, "--xi", "0.05"], capsys)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "solved"
+    assert doc["manifest"]["config"]["oracle"] == "dp"
+    assert doc["manifest"]["seed"] is None
 
 
 def test_solved_game_feeds_compute_exact_dp(target_file, tmp_path, capsys):
@@ -229,10 +237,12 @@ def test_solve_bad_target_exits_2(tmp_path, capsys):
         ([2 / 3, float("nan"), 2 / 3], []),
         ([2 / 3, 2 / 3, 2 / 3], ["--epsilon", "-1"]),
         ([2 / 3, 2 / 3, 2 / 3], ["--epsilon", "nan"]),
-        ([2 / 3, 2 / 3, 2 / 3], ["--delta", "0"]),
-        ([2 / 3, 2 / 3, 2 / 3], ["--delta", "1.5"]),
+        # an exact solve is seedless: no --seed, no --delta, no sampled oracle
+        ([2 / 3, 2 / 3, 2 / 3], ["--seed", "1"]),
+        ([2 / 3, 2 / 3, 2 / 3], ["--delta", "0.01"]),
+        ([2 / 3, 2 / 3, 2 / 3], ["--oracle", "sampled"]),
     ],
-    ids=["nan-target", "negative-epsilon", "nan-epsilon", "zero-delta", "delta-above-1"],
+    ids=["nan-target", "negative-epsilon", "nan-epsilon", "seed-flag", "delta-flag", "sampled-oracle"],
 )
 def test_solve_rejects_bad_inputs_with_exit_2(tmp_path, capsys, shapley, flags):
     path = tmp_path / "target.json"
@@ -343,6 +353,32 @@ def test_diagnose_balanced_rejects_eta_outside_unit_interval(game_file, capsys, 
     assert code == 2
     assert out == ""
     assert "eta" in err
+
+
+@pytest.mark.parametrize(
+    "mode, flags",
+    [
+        ("anticonc-mu", ["--r", "-1"]),
+        ("anticonc-biased", ["--r", "-1"]),
+        ("anticonc-mu", ["--r", "nan"]),
+        ("balanced", ["--i", "1", "--r", "nan"]),
+        ("anticonc-biased", ["--r", "nan"]),
+        ("anticonc-mu", ["--samples", "0"]),
+        ("anticonc-mu", ["--samples", "-3"]),
+        ("balanced", ["--i", "3", "--samples", "0"]),
+        ("anticonc-biased", ["--samples", "0"]),
+    ],
+    ids=["mu-negative-r", "biased-negative-r", "mu-nan-r", "balanced-nan-r", "biased-nan-r",
+         "mu-zero-samples", "mu-negative-samples", "balanced-zero-samples", "biased-zero-samples"],
+)
+def test_diagnose_rejects_bad_r_or_samples_with_exit_2(tmp_path, capsys, mode, flags):
+    # n = 25 is past every exact cap, so the sampled paths see --samples
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 25, "weights": [1] * 25, "quota": 13}))
+    code, out, err = run_app(["diagnose", mode, "--game", str(path), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_diagnose_distances(game_file, tmp_path, capsys):

@@ -16,6 +16,7 @@ from shapley_forge.games import (
     lbf_values,
     load_game,
     ltf_values,
+    quota_from_dict,
     quota_to_ltf,
     save_game,
 )
@@ -77,6 +78,21 @@ def test_quota_game_validation():
         QuotaGame((1, -2), 1)
     with pytest.raises(ValueError):
         QuotaGame((1, 2), 4)
+
+
+def test_quota_game_refuses_non_integral_weights_and_quota():
+    # truncating 49.7/49/2 quota 51.9 to 49/49/2 quota 51 would score a
+    # different game: the real one makes voter 3 a dummy
+    with pytest.raises(ValueError, match="weight must be an integer"):
+        quota_from_dict({"n": 3, "weights": [49.7, 49, 2], "quota": 51})
+    with pytest.raises(ValueError, match="quota must be an integer"):
+        quota_from_dict({"n": 3, "weights": [49, 49, 2], "quota": 51.9})
+    for bad in (float("nan"), float("inf"), "49"):
+        with pytest.raises(ValueError):
+            QuotaGame((bad, 49, 2), 51)
+    g = QuotaGame((49.0, np.int64(49), np.uint8(2)), np.int32(51))
+    assert g == QuotaGame((49, 49, 2), 51)
+    assert all(type(v) is int for v in (*g.int_weights, g.quota))
 
 
 def test_is_eta_reasonable():

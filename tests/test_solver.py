@@ -10,11 +10,9 @@ from shapley_forge.boosting import (
     exact_dp_oracle,
     exact_enum_oracle,
     game_from_net,
-    sampled_oracle,
 )
 from shapley_forge.games import QuotaGame, VotingGame, ltf_fn, quota_to_ltf
 from shapley_forge.indices import (
-    correlations_from_shapley,
     d_shapley,
     shapley_exact_dp,
     shapley_exact_truthtable,
@@ -277,15 +275,6 @@ def test_exact_enum_solve_above_enum_cap_matches_exact_dp(monkeypatch):
     assert enum.est_dshapley == pytest.approx(dp.est_dshapley, abs=1e-9)
 
 
-def test_sampled_solve_recovers_dictator():
-    target = np.array([2.0, 0.0, 0.0])
-    cfg = SolveConfig(xi=0.5, grid_step=1.0, oracle_mode="sampled", epsilon=1.0, seed=5, stall_window=32)
-    res = solve_is(target, cfg)
-    assert res.status == "solved"
-    got = shapley_exact_truthtable(ltf_fn(res.game), 3).shapley
-    assert d_shapley(got, target) <= 0.1
-
-
 def test_solve_recovers_dictator():
     target = np.array([2.0, 0.0, 0.0, 0.0])
     res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-enum"))
@@ -310,11 +299,6 @@ def test_early_stop_skips_most_of_the_grid():
     res = solve_is(target, SolveConfig(xi=0.05, oracle_mode="exact-dp"))
     assert res.status == "solved"
     assert res.grid_evaluated < 41 * 41
-
-
-def test_solve_config_rejects_negative_seed():
-    with pytest.raises(ValueError, match="seed"):
-        SolveConfig(seed=-1)
 
 
 def test_solve_rejects_tiny_targets():
@@ -343,21 +327,45 @@ def test_solve_isbw_tightens_xi_and_solves():
     assert res.est_dshapley <= 0.1
 
 
-def test_sampled_mode_components():
-    # a full sampled-mode solve needs an impractical sample budget for a unit
-    # test; exercise the two sampled code paths (boost oracle, validator) on
-    # a single grid cell instead
-    target = np.full(3, 2.0 / 3.0)
-    cfg = SolveConfig(xi=0.3, oracle_mode="sampled", epsilon=0.5, seed=5, stall_window=32)
-    a = np.concatenate([[0.0], correlations_from_shapley(target, 2.0 / 3.0, 0.0)])
-    oracle = sampled_oracle(3, cfg.xi, 1e-3, cfg.seed)
-    res = boost(BoostTargets(a=a, xi=cfg.xi), oracle, stall_window=cfg.stall_window)
-    assert res.iterations >= 0
-    game = game_from_net(res.state.net)
-    d_est = validate_candidate(target, game, cfg)
-    d_true = d_shapley(shapley_exact_truthtable(ltf_fn(game), 3).shapley, target)
-    # validator accuracy is eps/10 per slot, sqrt(n) overall
-    assert abs(d_est - d_true) <= math.sqrt(3.0) * 0.05 + 1e-9
+def test_default_config_solves_above_the_enumeration_cap():
+    # the default oracle mode is exact-dp, which has no n cap
+    w = (5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1, 7, 4, 6, 2, 9, 3, 5, 8, 1, 6)
+    target = shapley_exact_dp(QuotaGame(w, sum(w) // 2 + 1)).shapley
+    res = solve_is(target)
+    assert res.status == "solved"
+    assert d_shapley(shapley_int_ltf_dp(res.game).shapley, target) == res.est_dshapley
+    assert res.est_dshapley <= 0.08
+
+
+@pytest.mark.parametrize("mode", ["exact-enum", "exact-dp"])
+def test_no_solution_solve_scores_every_row_exactly_once(monkeypatch, mode):
+    # run() hands each row to the checkpoint where it finishes, so a solve
+    # that accepts nothing has scored the whole grid with no extra sweep
+    handed, scored = [], []
+    run = _GridEngine.run
+
+    def spy(batch):
+        return lambda nets, *args: scored.append(len(nets)) or batch(nets, *args)
+
+    monkeypatch.setattr(_GridEngine, "run", lambda eng, cp: run(eng, lambda rows: handed.extend(rows) or cp(rows)))
+    monkeypatch.setattr(solver, "_exact_d_enum_batch", spy(solver._exact_d_enum_batch))
+    monkeypatch.setattr(solver, "_exact_d_dp_batch", spy(solver._exact_d_dp_batch))
+    target = np.array([1.5, -0.5, 1.0, 0.25, -0.25])
+    res = solve_is(target, SolveConfig(xi=0.02, grid_step=0.2, oracle_mode=mode))
+    assert res.status == "no-solution"
+    assert sorted(handed) == list(range(11 * 11)) == list(range(res.grid_evaluated))
+    assert sum(scored) == 11 * 11
+
+
+@pytest.mark.parametrize("window", [0, -3, 1.5, math.nan, True, "8"])
+def test_solve_config_rejects_bad_stall_window(window):
+    with pytest.raises(ValueError, match="stall_window"):
+        SolveConfig(stall_window=window)
+
+
+def test_solve_config_accepts_stall_window_none_or_positive_integer():
+    for window in (None, 1, np.int64(8)):
+        assert SolveConfig(stall_window=window).stall_window == window
 
 
 # ---------------------------------------------------------------------------
