@@ -39,9 +39,9 @@ class VotingGame:
 
 
 def _integral(value, what: str) -> int:
-    """value as an int; refuses any value that int() would change."""
+    """value as an int; refuses a bool and any value that int() would change."""
     try:
-        as_int = int(value)
+        as_int = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):
         as_int = None
     if as_int is None or as_int != value:
@@ -157,7 +157,7 @@ def game_from_dict(obj: dict) -> VotingGame:
         if key not in obj:
             raise ValueError(f"game file missing field '{key}'")
     weights = np.asarray(obj["weights"], dtype=np.float64)
-    if int(obj["n"]) != weights.size:
+    if _integral(obj["n"], "game file: n") != weights.size:
         raise ValueError(f"game file: n={obj['n']} but {weights.size} weights given")
     return VotingGame(weights, float(obj["threshold"]))
 
@@ -167,7 +167,7 @@ def quota_from_dict(obj: dict) -> QuotaGame:
         if key not in obj:
             raise ValueError(f"quota file missing field '{key}'")
     weights = tuple(obj["weights"])
-    if int(obj["n"]) != len(weights):
+    if _integral(obj["n"], "quota file: n") != len(weights):
         raise ValueError(f"quota file: n={obj['n']} but {len(weights)} weights given")
     return QuotaGame(weights, obj["quota"])
 

@@ -15,6 +15,14 @@ from the net after every append by one refresh callable: from the support
 table up to n = 14 and by one subset-DP oracle call per row above it.  Both
 are exact, so the boosting oracle never samples.
 
+In the linear regime an append moves either corr_0 or the voter
+correlations, never both, and every row of a grid column (one mean_corr)
+has the same voter targets.  So for the first rounds, where no row can go
+dense, stall or hit the cap, the engine walks the voters once per column
+and steps each row as a merge of that walk with its own slot-0 walk, on
+1-D arrays; the full per-row step takes over from the replayed state.  The
+results are the same floats either way.
+
 Every row is scored exactly once, at the checkpoint where it finishes.  In
 exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
 batch's rows are grouped by weight vector (finished rows often share one and
@@ -53,6 +61,10 @@ _ENUM_BATCH_BYTES = 64 << 20
 # bytes of the float32 (rows x 2^n) score matrix in one support-refresh
 # chunk; a 64 MiB chunk spills the cache and refreshes 1.4x slower at n = 14
 _REFRESH_BYTES = 16 << 20
+# bytes of the recorded column walks; caps the linear prefix's length
+_WALK_BYTES = 16 << 20
+# bytes of one block of walk states when the prefix is replayed
+_REPLAY_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,8 +124,31 @@ class _GridEngine:
     after every append its correlations are recomputed from its net by
     refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
 
+    Columns.  The second-moment matrix keeps slot 0 apart from the voters,
+    so in linear mode an append on slot 0 moves only corr_0 and a voter
+    append moves only the voter slots.  Rows with the same target voter
+    part A[1:] (a grid column, or any rows whose A[1:] bytes agree) share one
+    voter walk: the voter appends the step would make, recorded once per
+    column by _VoterWalks.
+
+    Prefix.  In the first R0 = min(lin_cap, stall_window, cap) rounds no row
+    can go dense, stall or hit the cap (R0 also keeps the recorded walks
+    within _WALK_BYTES).  There a row is the merge of its column's walk with
+    its own slot-0 walk: it appends on slot 0 when |viol_0| is at least the
+    walk's next voter maximum (argmax keeps the first index on a tie), else
+    it takes the walk's next voter append.  The prefix steps packed 1-D
+    arrays: corr_0, the row's position in its walk, best and last_improved.
+    A row that converges there does so at the walk's first voter maximum at
+    or below gamma (b*), where the walk has stopped, so it takes the walk's
+    state.  R0 is read at the first step.
+
+    Handoff.  At round R0 the walks are replayed to rebuild the net and corr
+    of every live row, and the full step below runs from there on.
+    copy_back() replays the same way while the prefix lasts.
+
     The live rows are boosted packed, in grid order, at the front of private
-    working arrays, and every live row has made the same number of appends.
+    working arrays (the prefix's own, then the full step's), and every live
+    row has made the same number of appends.
     alive, dense and converged are current after every step.  net, corr and
     t are current for finished rows, and for every row once run() returns:
     run() copies the still-live rows back, as copy_back() does.
@@ -162,12 +197,20 @@ class _GridEngine:
         self._mass = np.zeros(self.G, dtype=np.int64)
         self._dense = np.zeros(self.G, dtype=bool)
         self._flat = np.arange(self.G) * (n + 1)  # offset of each packed row
+        self._r0: int | None = None  # read at the first step
+        self._walk: _VoterWalks | None = None  # set while in the prefix
 
     def step(self) -> list[int]:
         """One boosting round for every live row; returns rows that finished."""
         L = self._live
         if L == 0:
             return []
+        if self._r0 is None:
+            self._begin()
+        if self._walk is not None:
+            if self._rounds < self._r0:
+                return self._prefix_step()
+            self._handoff()
         T = self._rounds
         viol = self._A[:L] - self._corr[:L]
         j = np.abs(viol).argmax(axis=1)
@@ -236,6 +279,100 @@ class _GridEngine:
             self._corr[dense] = self.refresh(self._net[dense])
         return finished
 
+    def _begin(self) -> None:
+        """Read R0 and, if the prefix is not empty, set up the column walks."""
+        cols: dict[bytes, int] = {}
+        col = np.array([cols.setdefault(a.tobytes(), len(cols)) for a in self._A[:, 1:]])
+        C = len(cols)
+        r0 = min(self.lin_cap, self.stall_window, self.cap, _WALK_BYTES // (17 * C))
+        self._r0 = math.floor(r0)
+        if self._r0 <= 0:
+            return
+        rep = np.empty(C, dtype=np.int64)
+        rep[col] = np.arange(self.G)  # any row of each column
+        self._walk = _VoterWalks(self._A[rep, 1:], self.gamma, self.rho, self._r0)
+        a0 = self._A[:, 0]
+        # the prefix state of each packed row; _k = column * R0 + b, where b
+        # is the number of voter appends the row has made
+        self._col = col
+        self._k = col * self._r0
+        self._a0 = a0.copy()
+        self._c0 = np.zeros(self.G)
+        # while |viol_0| > gamma a slot-0 append moves corr_0 by gamma toward
+        # A_0 without crossing it, so every slot-0 append has the sign of A_0
+        self._g0 = np.where(a0 > 0, self.gamma, -self.gamma)
+
+    def _prefix_step(self) -> list[int]:
+        """One round of the prefix: the step's arithmetic, merged per row."""
+        L, T, walk, gamma = self._live, self._rounds, self._walk, self.gamma
+        walk.advance(T)
+        k = self._k[:L]
+        m = walk.vmax.ravel()[k]
+        v0 = np.abs(self._a0[:L] - self._c0[:L])
+        voter = v0 < m  # else slot 0: argmax keeps the first index on a tie
+        v = np.maximum(v0, m)
+        conv = v <= gamma
+        improved = v < self._best[:L] - gamma / 16.0
+        np.putmask(self._best[:L], improved, v)
+        np.putmask(self._last_improved[:L], improved, T)
+
+        finished: list[int] = []
+        if conv.any():
+            # a row converges at the first voter append b* whose walk
+            # maximum is at most gamma, where its column's walk has stopped
+            out = np.flatnonzero(conv)
+            g = self._row[out]
+            c = self._col[out]
+            self.net[g, 0] = self._net0(out, T)
+            self.net[g, 1:] = walk.net[c]
+            self.corr[g, 0] = self._c0[out]
+            self.corr[g, 1:] = walk.corr[c]
+            self.t[g] = T
+            self.converged[g] = True
+            self.alive[g] = False
+            finished = g.tolist()
+            keep = np.flatnonzero(~conv)
+            L = self._live = keep.size
+            if L == 0:
+                return finished
+            first, tail = out[0], keep[out[0] :]
+            for a in (self._row, self._col, self._k, self._a0, self._c0, self._g0,
+                      self._best, self._last_improved):
+                a[first:L] = a[tail]
+            voter = voter[keep]
+        self._rounds = T + 1
+        self._c0[:L] += self._g0[:L] * ~voter  # + 0.0 leaves corr_0 as it is
+        self._k[:L] += voter
+        return finished
+
+    def _voter_rounds(self, rows) -> np.ndarray:
+        """b: the voter appends each packed prefix row has made."""
+        return self._k[rows] - self._col[rows] * self._r0
+
+    def _net0(self, rows, T: int) -> np.ndarray:
+        """net_0 of packed prefix rows after T appends: +-1 per slot-0 append."""
+        return np.sign(self._g0[rows]).astype(np.int64) * (T - self._voter_rounds(rows))
+
+    def _replay(self) -> tuple[np.ndarray, np.ndarray]:
+        """net and corr of the packed live rows, rebuilt from the walks."""
+        live = slice(self._live)
+        net = np.empty((self._live, self.n + 1), dtype=np.int64)
+        corr = np.empty((self._live, self.n + 1))
+        net[:, 0] = self._net0(live, self._rounds)
+        corr[:, 0] = self._c0[live]
+        net[:, 1:], corr[:, 1:] = self._walk.states(self._col[live], self._voter_rounds(live))
+        return net, corr
+
+    def _handoff(self) -> None:
+        """Fill the working arrays of the live rows and leave the prefix."""
+        L = self._live
+        net, corr = self._replay()
+        self._net[:L] = net
+        self._corr[:L] = corr
+        self._mass[:L] = np.abs(net).sum(axis=1)
+        self._A[:L] = self._A[self._row[:L]]
+        self._walk = None
+
     def run(self, checkpoint=None) -> None:
         """Step until every row has finished, then copy live rows back.
 
@@ -261,9 +398,96 @@ class _GridEngine:
         """Make net, corr and t current for the still-live rows too."""
         L = self._live
         g = self._row[:L]
-        self.net[g] = self._net[:L]
-        self.corr[g] = self._corr[:L]
+        if self._walk is not None and L:
+            self.net[g], self.corr[g] = self._replay()
+        else:
+            self.net[g] = self._net[:L]
+            self.corr[g] = self._corr[:L]
         self.t[g] = self._rounds
+
+
+class _VoterWalks:
+    """The voter walks of the grid columns, one linear-mode voter append per round.
+
+    advance(T) records each walk's T-th voter append, with the float
+    operations of _GridEngine.step on the voter slots: the largest voter
+    violation before it (vmax), the slot and the sign.  A walk whose largest
+    violation is at most gamma has reached b* and stops there (sign 0), so
+    net and corr hold each stopped walk's state at b*.
+    """
+
+    def __init__(self, targets: np.ndarray, gamma: float, rho: float, rounds: int) -> None:
+        self.C, self.n = targets.shape
+        self.targets = targets
+        self.gamma = gamma
+        self.rho = rho
+        self.net = np.zeros((self.C, self.n), dtype=np.int64)
+        self.corr = np.zeros((self.C, self.n))
+        self._flat = np.arange(self.C) * self.n
+        self.vmax = np.empty((self.C, rounds))
+        self.slot = np.empty((self.C, rounds), dtype=np.intp)
+        self.sign = np.zeros((self.C, rounds), dtype=np.int8)
+        self._moving = True
+
+    def advance(self, T: int) -> None:
+        if not self._moving:
+            return
+        viol = self.targets - self.corr
+        av = np.abs(viol)
+        j = av.argmax(axis=1)
+        at = self._flat + j
+        m = av.ravel()[at]
+        self.vmax[:, T] = m
+        move = m > self.gamma
+        if not move.any():
+            self._moving = False
+            return
+        s = np.where(viol.ravel()[at] > 0, 1, -1).astype(np.int8) * move
+        self.slot[:, T] = j
+        self.sign[:, T] = s
+        sgamma = s * self.gamma
+        pick = self.corr.ravel()[at]
+        self.corr += (sgamma * self.rho)[:, None]
+        self.corr.ravel()[at] = pick + sgamma
+        self.net.ravel()[at] += s
+
+    def states(self, col: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Voter net and corr of walk col[i] after b[i] appends.
+
+        Each voter slot of a walk only ever adds the round's delta (sgamma on
+        the appended slot, sgamma * rho on the others), so its values are a
+        running sum, and a sequential cumsum from the same start gives the
+        same floats.  The rounds go in blocks of at most _REPLAY_BYTES.
+        """
+        C, n = self.C, self.n
+        net = np.empty((b.size, n), dtype=np.int64)
+        corr = np.empty((b.size, n))
+        cnet = np.zeros((1, C, n), dtype=np.int64)
+        ccorr = np.zeros((1, C, n))
+        block = max(1, _REPLAY_BYTES // (16 * C * n))
+        cc = np.arange(C)[None, :]
+        lo, top = 0, int(b.max())
+        while True:
+            hi = min(lo + block, top)
+            s = self.sign[:, lo:hi].T
+            sgamma = s * self.gamma
+            Dn = np.zeros((hi - lo + 1, C, n), dtype=np.int64)
+            Dc = np.empty((hi - lo + 1, C, n))
+            Dn[:1], Dc[:1] = cnet, ccorr
+            Dc[1:] = (sgamma * self.rho)[:, :, None]
+            rr = np.arange(1, hi - lo + 1)[:, None]
+            j = self.slot[:, lo:hi].T
+            Dn[rr, cc, j] = s
+            Dc[rr, cc, j] = sgamma
+            np.cumsum(Dn, axis=0, out=Dn)
+            np.cumsum(Dc, axis=0, out=Dc)
+            sel = np.flatnonzero((b >= lo) & (b <= hi))
+            net[sel] = Dn[b[sel] - lo, col[sel]]
+            corr[sel] = Dc[b[sel] - lo, col[sel]]
+            if hi == top:
+                return net, corr
+            cnet, ccorr = Dn[-1:], Dc[-1:]
+            lo = hi
 
 
 def _support_refresh(n: int, gamma: float):
@@ -424,9 +648,12 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
             "as monotone non-constant anyway",
             stacklevel=3,
         )
+    bound = 64.0 / xi**2 if xi**2 > 0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"xi = {xi:g} is too small: the round cap 64/xi^2 is not finite")
+    cap = math.ceil(bound)
     axis = _grid_axis(cfg.grid_step)
     A, f0s, means = _target_rows(target, nu, axis)
-    cap = math.ceil(64.0 / xi**2)
 
     engine, g, d, status = _solve_engine(target, cfg, xi, accept_at, A, cap)
     return SolveResult(

@@ -82,6 +82,10 @@ def test_compute_exact_enum(game_file, capsys):
         ({"n": 3, "weights": [1e20, 1, 1], "threshold": 0.5}, "budget"),  # past int64
         ({"n": 3, "weights": [49.7, 49, 2], "quota": 51}, "weight must be an integer"),
         ({"n": 3, "weights": [49, 49, 2], "quota": 51.9}, "quota must be an integer"),
+        ({"n": 3.5, "weights": [2, 1, 1], "quota": 3}, "n must be an integer"),
+        ({"n": 3.9, "weights": [2.0, 1.0, 1.0], "threshold": 0.5}, "n must be an integer"),
+        ({"n": True, "weights": [2, 1, 1], "quota": 3}, "n must be an integer"),
+        ({"n": "3", "weights": [2.0, 1.0, 1.0], "threshold": 0.5}, "n must be an integer"),
     ],
 )
 def test_compute_exact_dp_rejects_bad_weights_with_exit_2(game, message, tmp_path, capsys):
@@ -263,6 +267,21 @@ def test_solve_bounded_rejects_non_finite_weight_bound(target_file, capsys, boun
     )
     assert code == 2
     assert "weight_bound" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("solve", ["--xi", "1e-300"]),  # xi**2 underflows to 0
+        ("solve", ["--xi", "1e-160"]),  # 64 / xi**2 overflows to inf
+        ("solve-bounded", ["--weight-bound", "1e300"]),  # xi = 1 / (10 n W)
+    ],
+)
+def test_solve_refuses_an_xi_without_a_finite_round_cap(target_file, capsys, command, flags):
+    code, out, err = run_app([command, "--target", target_file, *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert "round cap" in err and "Traceback" not in err
 
 
 def test_solve_bounded_requires_flag(target_file, capsys):

@@ -131,3 +131,161 @@ def test_packed_engine_hits_the_round_cap_at_the_same_step():
     with pytest.raises(IterationCapError):
         eng.step()
     _assert_same_state(eng, ref)
+
+
+# ---------------------------------------------------------------------------
+# The linear prefix: column walks merged with per-row slot-0 walks
+# ---------------------------------------------------------------------------
+
+
+def _prefix_rounds(eng) -> int:
+    """R0, which the engine reads at its first step."""
+    return eng._r0
+
+
+@pytest.mark.parametrize(
+    "seed, n, xi, kwargs, r0",
+    [
+        (11, 8, 0.02, {"lin_cap": 70, "stall_window": 100}, 70),  # R0 set by lin_cap
+        (12, 9, 0.02, {"stall_window": 90}, 90),  # by stall_window < lin_cap = 99
+        (13, 8, 0.02, {"cap": 80, "stall_window": None}, 80),  # by cap < lin_cap
+        (14, 8, 0.02, {"lin_cap": 10**9, "stall_window": None}, None),  # never left
+    ],
+    ids=["lin_cap", "stall_window", "cap", "inside"],
+)
+def test_prefix_is_bit_identical_per_step(seed, n, xi, kwargs, r0):
+    A = _random_grid(seed, n, 0.1)
+    eng, ref = _pair(n, A, xi / 2.0, **kwargs)
+    if "cap" in kwargs:
+        for _ in range(r0):
+            assert eng.step() == ref.step()
+            _assert_same_state(eng, ref)
+        assert _prefix_rounds(eng) == r0 and ref.converged.any()
+        with pytest.raises(RoundCapError):
+            ref.step()
+        with pytest.raises(IterationCapError):
+            eng.step()
+        _assert_same_state(eng, ref)
+        return
+    _step_both(eng, ref)
+    R0 = _prefix_rounds(eng)
+    if r0 is None:
+        assert ref.t.max() < R0  # every row finished inside the prefix
+    else:
+        assert R0 == r0
+        assert (ref.t < R0).any() and (ref.t > R0).any()  # rows on both sides
+
+
+@pytest.mark.parametrize("replay_bytes", [None, 1])  # 1: one round per replay block
+def test_prefix_early_stop_inside_the_prefix_matches_reference(monkeypatch, replay_bytes):
+    if replay_bytes is not None:
+        monkeypatch.setattr(solver, "_REPLAY_BYTES", replay_bytes)
+    n, xi = 8, 0.02
+    A = _random_grid(15, n, 0.25)
+    eng, ref = _pair(n, A, xi / 2.0, lin_cap=10**9, stall_window=None)
+    got = []
+    eng.run(lambda rows: got.append(list(rows)) or True)
+    for _ in range(solver._CHECK_EVERY):
+        ref.step()
+    assert eng._rounds < _prefix_rounds(eng)
+    assert ref.alive.any() and np.array_equal(eng.alive, ref.alive)
+    for name in STATE:
+        assert np.array_equal(getattr(eng, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("grid", ["broken-columns", "distinct-rows"])
+def test_prefix_groups_rows_by_their_voter_targets(grid):
+    n, xi = 8, 0.02
+    A = _random_grid(16, n, 0.2)
+    columns = len({row.tobytes() for row in A[:, 1:]})
+    if grid == "broken-columns":
+        A[::3, 1] += 0.01
+    else:
+        A[:, 1:] += np.random.default_rng(16).normal(scale=1e-3, size=(A.shape[0], n))
+    eng, ref = _pair(n, A, xi / 2.0)
+    assert eng.step() == ref.step()
+    if grid == "broken-columns":
+        assert columns < eng._walk.C < A.shape[0]
+    else:
+        assert eng._walk.C == A.shape[0]
+    _assert_same_state(eng, ref)
+    _step_both(eng, ref)
+
+
+def _slot0_rounds(a0: float, gamma: float) -> int:
+    """a*: slot-0 appends until |A_0 - corr_0| <= gamma, by the step's float ops."""
+    c0, a = 0.0, 0
+    while abs(a0 - c0) > gamma:
+        c0 = c0 + (gamma if a0 - c0 > 0 else -gamma)
+        a += 1
+    return a
+
+
+def _voter_walk(av: np.ndarray, gamma: float, cross: np.ndarray):
+    """b* and the voter net there: greedy voter appends until the max is <= gamma."""
+    corr = np.zeros(av.size)
+    net = np.zeros(av.size, dtype=np.int64)
+    b = 0
+    while True:
+        viol = av - corr
+        j = int(np.abs(viol).argmax())
+        if abs(viol[j]) <= gamma:
+            return b, net
+        sg = 1 if viol[j] > 0 else -1
+        corr = corr + gamma * sg * cross[1 + j, 1:]
+        net[j] += sg
+        b += 1
+
+
+def test_prefix_rows_finish_at_slot0_plus_voter_rounds():
+    # a row of the linear regime finishes at round a*(A_0) + b*(column), and
+    # every finished row of a column has that column's voter net at b*
+    n, xi = 10, 0.02
+    gamma = xi / 2.0
+    A = _random_grid(17, n, 0.1)
+    eng, _ = _pair(n, A, gamma, lin_cap=10**9, stall_window=None)
+    eng.run()
+    assert eng.converged.all() and eng.t.max() < _prefix_rounds(eng)
+    cross = degree1_moment_matrix(n)
+    walks = {}
+    for g in range(A.shape[0]):
+        key = A[g, 1:].tobytes()
+        if key not in walks:
+            walks[key] = _voter_walk(A[g, 1:], gamma, cross)
+        b_star, vnet = walks[key]
+        assert eng.t[g] == _slot0_rounds(A[g, 0], gamma) + b_star
+        assert np.array_equal(eng.net[g, 1:], vnet)
+    assert len(walks) < A.shape[0]
+
+
+def test_solve_with_the_reference_engine_gives_the_same_result(monkeypatch):
+    n = 16
+    rng = np.random.default_rng(18)
+    weights = tuple(int(w) for w in rng.integers(0, 11, n))
+    target = shapley_exact_dp(QuotaGame(weights, sum(weights) // 2 + 1)).shapley
+    cfg = solver.SolveConfig(xi=0.005)
+    fast = solver.solve_is(target, cfg)
+
+    class ReferenceGridEngine(LockstepEngine):
+        def __init__(self, n, targets, gamma, refresh, **kwargs):
+            super().__init__(n, targets, gamma, degree1_moment_matrix(n), refresh, **kwargs)
+
+        def run(self, checkpoint):
+            pending, k = [], 0
+            while self.alive.any():
+                pending.extend(self.step())
+                k += 1
+                if k % solver._CHECK_EVERY == 0 and pending:
+                    if checkpoint(pending):
+                        return
+                    pending = []
+            if pending:
+                checkpoint(pending)
+
+    monkeypatch.setattr(solver, "_GridEngine", ReferenceGridEngine)
+    slow = solver.solve_is(target, cfg)
+    assert fast.status == "solved"
+    assert np.array_equal(slow.game.weights, fast.game.weights)
+    assert slow.game.threshold == fast.game.threshold
+    for field in ("est_dshapley", "guess", "boost_iterations", "status", "nu_warning", "grid_evaluated"):
+        assert getattr(slow, field) == getattr(fast, field), field

@@ -95,6 +95,21 @@ def test_quota_game_refuses_non_integral_weights_and_quota():
     assert all(type(v) is int for v in (*g.int_weights, g.quota))
 
 
+@pytest.mark.parametrize("n", [3.5, 3.9, 2.5, True, "3", None, float("nan")])
+def test_game_files_refuse_a_voter_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        quota_from_dict({"n": n, "weights": [2, 1, 1], "quota": 3})
+    with pytest.raises(ValueError, match="n must be an integer"):
+        game_from_dict({"n": n, "weights": [2.0, 1.0, 1.0], "threshold": 0.5})
+
+
+def test_game_files_accept_an_integral_voter_count():
+    assert quota_from_dict({"n": 3.0, "weights": [2, 1, 1], "quota": 3}) == QuotaGame((2, 1, 1), 3)
+    assert game_from_dict({"n": np.int64(3), "weights": [2.0, 1.0, 1.0], "threshold": 0.5}).n == 3
+    with pytest.raises(ValueError, match="weight must be an integer"):
+        QuotaGame((True, 1, 1), 2)
+
+
 def test_is_eta_reasonable():
     g = VotingGame(np.ones(5), 0.0)
     assert is_eta_reasonable(g, 0.1) == (True, True)
