@@ -128,16 +128,13 @@ def mu_correlations_affine(weights, phi, pmf_point: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window_swings(w: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Swing counts across each step in ts, one column per distinct weight.
+def _swing_table(w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """What every threshold of weight vector w reads: (P, off, vals, inv).
 
-    Returns (S, vals, inv): vals are the distinct weights, inv maps each
-    voter to its column, and S[i, k, g] counts the k-subsets of the other
-    voters whose sum u puts u and u + vals[g] on opposite sides of ts[i]
-    (the window of the module docstring).  Every step reads the same table
-    and prefix sums; only its windows move.  Int64 arithmetic wraps in a
-    ring, so S is exact whenever its entries fit, which the table's dtype
-    ensures.
+    P[r, c] is the sum of F[r, :c] over the subset table F of w; row n is
+    never needed (k - j <= n - 1) and is zeroed to serve as the target of
+    every r = k - j < 0.  vals are the distinct weights and inv maps each
+    voter to its column.
     """
     F, off = subset_count_table(w)
     n, width = w.size, F.shape[1]
@@ -146,22 +143,35 @@ def _window_swings(w: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray, np.ndarra
     vals = np.sort(w)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
     inv = np.searchsorted(vals, w)
+    P = np.zeros((n + 1, width + 1), dtype=F.dtype)
+    np.cumsum(F[:n], axis=1, out=P[:n, 1:])
+    return P, off, vals, inv
+
+
+def _window_swings(w: np.ndarray, ts, table=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Swing counts across each step in ts, one column per distinct weight.
+
+    Returns (S, vals, inv): vals are the distinct weights, inv maps each
+    voter to its column, and S[i, k, g] counts the k-subsets of the other
+    voters whose sum u puts u and u + vals[g] on opposite sides of ts[i]
+    (the window of the module docstring).  Every step reads the same
+    _swing_table(w), which a caller that scores w again may pass as table;
+    only the windows move.  Int64 arithmetic wraps in a ring, so S is exact
+    whenever its entries fit, which the table's dtype ensures.
+    """
+    P, off, vals, inv = _swing_table(w) if table is None else table
+    n, width = w.size, P.shape[1] - 1
     # outside [lo, hi + 1] every window is empty, and t stays in int64
     t = np.array([min(max(int(v), -off), width - off) + off for v in ts], dtype=np.int64)
     a = t[:, None] - np.maximum(vals, 0)
     b = t[:, None] - np.minimum(vals, 0)
-
-    # P[r, c] = sum of F[r, :c]; row n is never needed (k - j <= n - 1) and
-    # is zeroed to serve as the target of every r = k - j < 0
-    P = np.zeros((n + 1, width + 1), dtype=F.dtype)
-    np.cumsum(F[:n], axis=1, out=P[:n, 1:])
 
     # each (t, j) pair of a block gathers 24 * n * vals.size bytes
     k = np.arange(n)
     pair = 24 * n * vals.size
     step = max(2, _GATHER_BYTES // pair) // 2 * 2  # even: j0 stays even
     t_step = max(1, _GATHER_BYTES // (pair * min(step, n)))
-    S = np.zeros((t.size, n, vals.size), dtype=F.dtype)
+    S = np.zeros((t.size, n, vals.size), dtype=P.dtype)
     for j0 in range(0, n, step):
         j = np.arange(j0, min(n, j0 + step))
         r = k[None, :] - j[:, None]

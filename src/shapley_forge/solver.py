@@ -18,16 +18,22 @@ are exact, so the boosting oracle never samples.
 In the linear regime an append moves either corr_0 or the voter
 correlations, never both, and every row of a grid column (one mean_corr)
 has the same voter targets.  So for the first rounds, where no row can go
-dense, stall or hit the cap, the engine walks the voters once per column
-and steps each row as a merge of that walk with its own slot-0 walk, on
-1-D arrays; the full per-row step takes over from the replayed state.  The
-results are the same floats either way.
+dense, stall or hit the cap, the engine walks the voters once per column,
+and a row finishes at round a* + b*: the slot-0 appends its f0 needs plus
+the round its column's walk stops.  A round there advances the walks and
+returns the rows scheduled for it; the rows still live when those rounds
+end are replayed, and the full per-row step takes over.  The results are
+the same floats either way.  A row still live at the round cap finishes
+unconverged, like a stalled row.
 
 Every row is scored exactly once, at the checkpoint where it finishes.  In
 exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
 batch's rows are grouped by weight vector (finished rows often share one and
 differ only in the threshold net_0), and each group is scored from one
-subset table in which only the threshold window moves (see _subsetdp).
+subset table in which only the threshold window moves (see _subsetdp).  A
+solve keeps those tables, within a byte budget, for the vectors that come
+back at later checkpoints.  A grid whose engine arrays would pass their
+byte budget is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsetdp
-from .boosting import BoostState, IterationCapError, exact_dp_oracle, game_from_net
+from .boosting import BoostState, exact_dp_oracle, game_from_net
 from .games import VotingGame, ltf_fn
 from .indices import (
     d_shapley,
@@ -65,6 +71,12 @@ _REFRESH_BYTES = 16 << 20
 _WALK_BYTES = 16 << 20
 # bytes of one block of walk states when the prefix is replayed
 _REPLAY_BYTES = 1 << 20
+# budget of the grid's (cells x (n+1)) 8-byte arrays: the targets, the
+# engine's copy of them, and net and corr both by grid row and packed
+_GRID_ARRAYS = 6
+_GRID_BYTES = 512 << 20
+# bytes of subset-table prefix sums one exact-DP solve keeps for reuse
+_TABLE_CACHE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -123,6 +135,8 @@ class _GridEngine:
     the L1 mass crosses the cap the row flips permanently to dense mode, and
     after every append its correlations are recomputed from its net by
     refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
+    A row finishes when it converges (largest violation at most gamma), when
+    it stalls, or unconverged at the round cap, where it may not append.
 
     Columns.  The second-moment matrix keeps slot 0 apart from the voters,
     so in linear mode an append on slot 0 moves only corr_0 and a voter
@@ -134,24 +148,24 @@ class _GridEngine:
     Prefix.  In the first R0 = min(lin_cap, stall_window, cap) rounds no row
     can go dense, stall or hit the cap (R0 also keeps the recorded walks
     within _WALK_BYTES).  There a row is the merge of its column's walk with
-    its own slot-0 walk: it appends on slot 0 when |viol_0| is at least the
-    walk's next voter maximum (argmax keeps the first index on a tie), else
-    it takes the walk's next voter append.  The prefix steps packed 1-D
-    arrays: corr_0, the row's position in its walk, best and last_improved.
-    A row that converges there does so at the walk's first voter maximum at
-    or below gamma (b*), where the walk has stopped, so it takes the walk's
-    state.  R0 is read at the first step.
+    its own slot-0 walk, and it finishes converged at round a* + b*: a* is
+    the number of slot-0 appends its A_0 needs, read once per distinct A_0,
+    and b* the round its column's walk stops.  So a prefix round advances
+    the walks, schedules the rows of each column whose walk stopped, and
+    returns the rows scheduled for it, built from the walk's state at b*;
+    no per-row state moves.  R0 is read at the first step.
 
-    Handoff.  At round R0 the walks are replayed to rebuild the net and corr
-    of every live row, and the full step below runs from there on.
-    copy_back() replays the same way while the prefix lasts.
+    Handoff.  At round R0 the rows still live are replayed through the
+    prefix, round by round with the step's arithmetic, for their voter
+    appends, best and last_improved; their net and corr are rebuilt from
+    the walks, and the full step below runs from there on.  copy_back()
+    replays the same way while the prefix lasts.
 
-    The live rows are boosted packed, in grid order, at the front of private
-    working arrays (the prefix's own, then the full step's), and every live
-    row has made the same number of appends.
-    alive, dense and converged are current after every step.  net, corr and
-    t are current for finished rows, and for every row once run() returns:
-    run() copies the still-live rows back, as copy_back() does.
+    After the prefix the live rows are boosted packed, in grid order, at the
+    front of private working arrays, and every live row has made the same
+    number of appends.  alive, dense and converged are current after every
+    step; net, corr and t are current for finished rows.  run() does not
+    fill in the live rows when a checkpoint stops it: copy_back() does.
     """
 
     def __init__(
@@ -202,8 +216,7 @@ class _GridEngine:
 
     def step(self) -> list[int]:
         """One boosting round for every live row; returns rows that finished."""
-        L = self._live
-        if L == 0:
+        if self._live == 0:
             return []
         if self._r0 is None:
             self._begin()
@@ -211,7 +224,7 @@ class _GridEngine:
             if self._rounds < self._r0:
                 return self._prefix_step()
             self._handoff()
-        T = self._rounds
+        L, T = self._live, self._rounds
         viol = self._A[:L] - self._corr[:L]
         j = np.abs(viol).argmax(axis=1)
         at = self._flat[:L] + j
@@ -224,6 +237,8 @@ class _GridEngine:
         done = conv
         if T >= self.stall_window:
             done = conv | (~improved & (T - self._last_improved[:L] >= self.stall_window))
+        if T + 1 > self.cap:  # no row may append again: the rest finish as they are
+            done = np.ones_like(conv)
 
         finished: list[int] = []
         if done.any():
@@ -246,8 +261,6 @@ class _GridEngine:
                 a[first:L] = a[tail]
             j, vj = j[keep], vj[keep]
             at = self._flat[:L] + j
-        if T + 1 > self.cap:
-            raise IterationCapError(f"grid row exceeded the round cap {self.cap}")
         self._rounds = T + 1
 
         up = vj > 0
@@ -280,129 +293,131 @@ class _GridEngine:
         return finished
 
     def _begin(self) -> None:
-        """Read R0 and, if the prefix is not empty, set up the column walks."""
+        """Read R0 and, if the prefix is not empty, set up its schedule."""
         cols: dict[bytes, int] = {}
         col = np.array([cols.setdefault(a.tobytes(), len(cols)) for a in self._A[:, 1:]])
         C = len(cols)
         r0 = min(self.lin_cap, self.stall_window, self.cap, _WALK_BYTES // (17 * C))
-        self._r0 = math.floor(r0)
-        if self._r0 <= 0:
+        R0 = self._r0 = math.floor(r0)
+        if R0 <= 0:
             return
         rep = np.empty(C, dtype=np.int64)
         rep[col] = np.arange(self.G)  # any row of each column
-        self._walk = _VoterWalks(self._A[rep, 1:], self.gamma, self.rho, self._r0)
-        a0 = self._A[:, 0]
-        # the prefix state of each packed row; _k = column * R0 + b, where b
-        # is the number of voter appends the row has made
+        self._walk = _VoterWalks(self._A[rep, 1:], self.gamma, self.rho, R0)
         self._col = col
-        self._k = col * self._r0
-        self._a0 = a0.copy()
-        self._c0 = np.zeros(self.G)
-        # while |viol_0| > gamma a slot-0 append moves corr_0 by gamma toward
-        # A_0 without crossing it, so every slot-0 append has the sign of A_0
-        self._g0 = np.where(a0 > 0, self.gamma, -self.gamma)
+        self._up = (self._A[:, 0] > 0).astype(np.intp)
+        self._astar = self._walk.slot0_rounds(self._A[:, 0])
+        # the round each row finishes at, once its column's walk has stopped
+        self._due = np.full(self.G, -1, dtype=np.int64)
 
     def _prefix_step(self) -> list[int]:
-        """One round of the prefix: the step's arithmetic, merged per row."""
-        L, T, walk, gamma = self._live, self._rounds, self._walk, self.gamma
-        walk.advance(T)
-        k = self._k[:L]
-        m = walk.vmax.ravel()[k]
-        v0 = np.abs(self._a0[:L] - self._c0[:L])
-        voter = v0 < m  # else slot 0: argmax keeps the first index on a tie
-        v = np.maximum(v0, m)
-        conv = v <= gamma
-        improved = v < self._best[:L] - gamma / 16.0
-        np.putmask(self._best[:L], improved, v)
-        np.putmask(self._last_improved[:L], improved, T)
+        """One round of the prefix: the column walks advance, scheduled rows finish.
 
-        finished: list[int] = []
-        if conv.any():
-            # a row converges at the first voter append b* whose walk
-            # maximum is at most gamma, where its column's walk has stopped
-            out = np.flatnonzero(conv)
-            g = self._row[out]
-            c = self._col[out]
-            self.net[g, 0] = self._net0(out, T)
+        A row appends on slot 0 when |viol_0| is at least its column walk's
+        next voter maximum (argmax keeps the first index on a tie), else it
+        takes the walk's next voter append.  So it makes at most a* slot-0
+        and b* voter appends, and finishes converged at round a* + b*, where
+        b* is the round its column's walk stops.
+        """
+        T, walk = self._rounds, self._walk
+        stopped = walk.advance(T)
+        if stopped is not None:
+            hit = stopped[self._col]
+            self._due[hit] = self._astar[hit] + T
+        g = (self._due == T).nonzero()[0]
+        if g.size:
+            a, c, up = self._astar[g], self._col[g], self._up[g]
+            self.net[g, 0] = np.where(up, a, -a)
             self.net[g, 1:] = walk.net[c]
-            self.corr[g, 0] = self._c0[out]
+            self.corr[g, 0] = walk.c0[up, a]
             self.corr[g, 1:] = walk.corr[c]
             self.t[g] = T
             self.converged[g] = True
             self.alive[g] = False
-            finished = g.tolist()
-            keep = np.flatnonzero(~conv)
-            L = self._live = keep.size
-            if L == 0:
-                return finished
-            first, tail = out[0], keep[out[0] :]
-            for a in (self._row, self._col, self._k, self._a0, self._c0, self._g0,
-                      self._best, self._last_improved):
-                a[first:L] = a[tail]
-            voter = voter[keep]
-        self._rounds = T + 1
-        self._c0[:L] += self._g0[:L] * ~voter  # + 0.0 leaves corr_0 as it is
-        self._k[:L] += voter
-        return finished
+            self._live -= g.size
+        if self._live:
+            self._rounds = T + 1
+        return g.tolist()
 
-    def _voter_rounds(self, rows) -> np.ndarray:
-        """b: the voter appends each packed prefix row has made."""
-        return self._k[rows] - self._col[rows] * self._r0
+    def _merge(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """b, best and last_improved of live prefix rows after the rounds so far.
 
-    def _net0(self, rows, T: int) -> np.ndarray:
-        """net_0 of packed prefix rows after T appends: +-1 per slot-0 append."""
-        return np.sign(self._g0[rows]).astype(np.int64) * (T - self._voter_rounds(rows))
+        Replays the prefix round by round with the step's arithmetic: v is
+        the larger of |viol_0| and the column walk's voter maximum after b
+        voter appends, and a tie goes to slot 0.  A live row has not
+        converged in any of these rounds.
+        """
+        gamma, R0 = self.gamma, self._r0
+        vmax = self._walk.vmax.ravel()
+        k = self._col[rows] * R0  # flat index of the next voter maximum
+        a = self._up[rows] * (R0 + 1)  # flat index of corr_0 in walk.c0
+        a0, c0 = self._A[rows, 0], self._walk.c0.ravel()
+        best = np.full(rows.size, np.inf)
+        last = np.zeros(rows.size, dtype=np.int64)
+        for T in range(self._rounds):
+            m = vmax[k]
+            v0 = np.abs(a0 - c0[a])
+            voter = v0 < m
+            v = np.maximum(v0, m)
+            improved = v < best - gamma / 16.0
+            np.putmask(best, improved, v)
+            np.putmask(last, improved, T)
+            k += voter
+            a += ~voter
+        return k - self._col[rows] * R0, best, last
 
-    def _replay(self) -> tuple[np.ndarray, np.ndarray]:
-        """net and corr of the packed live rows, rebuilt from the walks."""
-        live = slice(self._live)
-        net = np.empty((self._live, self.n + 1), dtype=np.int64)
-        corr = np.empty((self._live, self.n + 1))
-        net[:, 0] = self._net0(live, self._rounds)
-        corr[:, 0] = self._c0[live]
-        net[:, 1:], corr[:, 1:] = self._walk.states(self._col[live], self._voter_rounds(live))
+    def _replay(self, rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """net and corr of live prefix rows that have made b voter appends."""
+        a, up = self._rounds - b, self._up[rows]
+        net = np.empty((rows.size, self.n + 1), dtype=np.int64)
+        corr = np.empty((rows.size, self.n + 1))
+        net[:, 0] = np.where(up, a, -a)
+        corr[:, 0] = self._walk.c0[up, a]
+        net[:, 1:], corr[:, 1:] = self._walk.states(self._col[rows], b)
         return net, corr
 
     def _handoff(self) -> None:
-        """Fill the working arrays of the live rows and leave the prefix."""
-        L = self._live
-        net, corr = self._replay()
+        """Pack the live rows into the working arrays and leave the prefix."""
+        live = np.flatnonzero(self.alive)
+        L = live.size
+        b, self._best[:L], self._last_improved[:L] = self._merge(live)
+        net, corr = self._replay(live, b)
+        self._row[:L] = live
+        self._A[:L] = self._A[live]
         self._net[:L] = net
         self._corr[:L] = corr
         self._mass[:L] = np.abs(net).sum(axis=1)
-        self._A[:L] = self._A[self._row[:L]]
         self._walk = None
 
     def run(self, checkpoint=None) -> None:
-        """Step until every row has finished, then copy live rows back.
+        """Step until every row has finished or checkpoint stops the run.
 
         Every _CHECK_EVERY rounds the rows finished since the last call go to
-        checkpoint; a True return stops the run there.
+        checkpoint; a True return stops the run there, and the live rows'
+        net, corr and t are left for copy_back() to fill in.
         """
-        try:
-            pending: list[int] = []
-            k = 0
-            while self._live:
-                pending.extend(self.step())
-                k += 1
-                if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
-                    if checkpoint(pending):
-                        return
-                    pending = []
-            if checkpoint is not None and pending:
-                checkpoint(pending)
-        finally:
-            self.copy_back()
+        pending: list[int] = []
+        k = 0
+        while self._live:
+            pending.extend(self.step())
+            k += 1
+            if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
+                if checkpoint(pending):
+                    return
+                pending = []
+        if checkpoint is not None and pending:
+            checkpoint(pending)
 
     def copy_back(self) -> None:
         """Make net, corr and t current for the still-live rows too."""
-        L = self._live
-        g = self._row[:L]
-        if self._walk is not None and L:
-            self.net[g], self.corr[g] = self._replay()
+        if self._walk is not None:
+            g = np.flatnonzero(self.alive)
+            if g.size:
+                self.net[g], self.corr[g] = self._replay(g, self._merge(g)[0])
         else:
-            self.net[g] = self._net[:L]
-            self.corr[g] = self._corr[:L]
+            g = self._row[: self._live]
+            self.net[g] = self._net[: self._live]
+            self.corr[g] = self._corr[: self._live]
         self.t[g] = self._rounds
 
 
@@ -413,7 +428,8 @@ class _VoterWalks:
     operations of _GridEngine.step on the voter slots: the largest voter
     violation before it (vmax), the slot and the sign.  A walk whose largest
     violation is at most gamma has reached b* and stops there (sign 0), so
-    net and corr hold each stopped walk's state at b*.
+    net and corr hold each stopped walk's state at b*.  c0 holds the two
+    slot-0 walks, one per sign of A_0.
     """
 
     def __init__(self, targets: np.ndarray, gamma: float, rho: float, rounds: int) -> None:
@@ -427,11 +443,40 @@ class _VoterWalks:
         self.vmax = np.empty((self.C, rounds))
         self.slot = np.empty((self.C, rounds), dtype=np.intp)
         self.sign = np.zeros((self.C, rounds), dtype=np.int8)
-        self._moving = True
+        self._moving = np.ones(self.C, dtype=bool)
+        # while |viol_0| > gamma a slot-0 append moves corr_0 by gamma toward
+        # A_0 without crossing it, so after a of them corr_0 is the step's
+        # sequential sum of a copies of +gamma (A_0 > 0) or -gamma:
+        # c0[A_0 > 0, a]
+        self.c0 = np.zeros((2, rounds + 1))
+        np.cumsum(np.full(rounds, -gamma), out=self.c0[0, 1:])
+        np.cumsum(np.full(rounds, gamma), out=self.c0[1, 1:])
 
-    def advance(self, T: int) -> None:
-        if not self._moving:
-            return
+    def slot0_rounds(self, a0: np.ndarray) -> np.ndarray:
+        """a*: the slot-0 appends until |A_0 - corr_0| <= gamma (R0 if none before).
+
+        Before a*, A_0 - corr_0 keeps the sign of A_0, so a* is the first a
+        at which +-(A_0 - corr_0) <= gamma.  That test only turns from false
+        to true as a grows, so a binary search finds it, once per distinct
+        A_0.
+        """
+        R0 = self.c0.shape[1] - 1
+        vals = np.sort(a0)
+        vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
+        up = (vals > 0).astype(np.intp)
+        sgn = np.where(up, 1.0, -1.0)
+        lo, hi = np.zeros(vals.size, dtype=np.intp), np.full(vals.size, R0)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            ok = sgn * (vals - self.c0[up, mid]) <= self.gamma
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+        return lo[np.searchsorted(vals, a0)]
+
+    def advance(self, T: int) -> np.ndarray | None:
+        """Record round T; returns the mask of walks that stop at T (b* = T), if any."""
+        if not self._moving.any():
+            return None
         viol = self.targets - self.corr
         av = np.abs(viol)
         j = av.argmax(axis=1)
@@ -439,17 +484,20 @@ class _VoterWalks:
         m = av.ravel()[at]
         self.vmax[:, T] = m
         move = m > self.gamma
+        stopped = self._moving > move  # moving before, not now
+        stopped = stopped if stopped.any() else None
+        self._moving = move
         if not move.any():
-            self._moving = False
-            return
-        s = np.where(viol.ravel()[at] > 0, 1, -1).astype(np.int8) * move
+            return stopped
+        # +-0.0 on a stopped walk: no corr of a walk is -0.0, so it stays put
+        sgamma = np.copysign(self.gamma, viol.ravel()[at]) * move
         self.slot[:, T] = j
-        self.sign[:, T] = s
-        sgamma = s * self.gamma
+        self.sign[:, T] = np.sign(sgamma)
         pick = self.corr.ravel()[at]
         self.corr += (sgamma * self.rho)[:, None]
         self.corr.ravel()[at] = pick + sgamma
-        self.net.ravel()[at] += s
+        self.net.ravel()[at] += self.sign[:, T]
+        return stopped
 
     def states(self, col: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Voter net and corr of walk col[i] after b[i] appends.
@@ -532,9 +580,23 @@ def _oracle_refresh(n: int, gamma: float, oracle):
 # ---------------------------------------------------------------------------
 
 
+def _grid_points(step: float) -> int:
+    return math.ceil(2.0 / step - 1e-9) + 1
+
+
 def _grid_axis(step: float) -> np.ndarray:
-    npts = math.ceil(2.0 / step - 1e-9) + 1
-    return np.linspace(-1.0, 1.0, npts)
+    return np.linspace(-1.0, 1.0, _grid_points(step))
+
+
+def _check_grid_budget(step: float, n: int) -> None:
+    """Refuse a grid whose engine arrays would exceed the byte budget."""
+    cells = _grid_points(step) ** 2
+    need = _GRID_ARRAYS * cells * (n + 1) * 8
+    if need > _GRID_BYTES:
+        raise ValueError(
+            f"grid_step {step:g} gives {cells} cells; at n = {n} the solver would need "
+            f"{need >> 20} MiB, over the {_GRID_BYTES >> 20} MiB budget; use a coarser grid"
+        )
 
 
 def _target_rows(target: np.ndarray, nu: float, axis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -577,24 +639,56 @@ def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndar
     return np.concatenate([dist(nets[s : s + chunk]) for s in range(0, len(nets), chunk)])
 
 
-def _exact_d_dp_batch(nets: np.ndarray, target: np.ndarray) -> np.ndarray:
+class _SwingTables(dict):
+    """The _subsetdp swing tables one solve has built, by weight-vector bytes.
+
+    A grid column's finished rows share one weight vector and come back at
+    several checkpoints.  Past _TABLE_CACHE_BYTES of prefix sums the oldest
+    tables are dropped (an object-dtype cell counts 48 bytes).
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nbytes = 0
+
+    def get_or_build(self, key: bytes, w: np.ndarray):
+        table = self.get(key)
+        if table is None:
+            table = self[key] = _subsetdp._swing_table(w)
+            self.nbytes += self._cost(table)
+            while self.nbytes > _TABLE_CACHE_BYTES and len(self) > 1:
+                self.nbytes -= self._cost(self.pop(next(iter(self))))
+        return table
+
+    @staticmethod
+    def _cost(table) -> int:
+        P = table[0]
+        return P.size * (48 if P.dtype == object else P.itemsize)
+
+
+def _exact_d_dp_batch(
+    nets: np.ndarray, target: np.ndarray, tables: _SwingTables | None = None
+) -> np.ndarray:
     """Exact index distance for many candidates at once, by subset DP.
 
     Candidates sharing a weight vector net[1:] share one subset table and
     differ only in the step their threshold -net_0 puts on the +1 set's
-    sum.  Each distance is the one validate_candidate gives the candidate's
-    game_from_net, bit for bit.
+    sum.  tables, if given, keeps those tables across calls.  Each distance
+    is the one validate_candidate gives the candidate's game_from_net, bit
+    for bit.
     """
+    if tables is None:
+        tables = _SwingTables()
     groups: dict[bytes, list[int]] = {}
     for i, net in enumerate(nets):
         groups.setdefault(net[1:].tobytes(), []).append(i)
     ds = np.empty(len(nets))
-    for rows in groups.values():
+    for key, rows in groups.items():
         w = nets[rows[0], 1:]
         total = sum(w.tolist())
         # net_0 + w.x = net_0 + 2u - total >= 0 iff u >= t, as in shapley_affine
         ts = [-((int(nets[i, 0]) - total) // 2) for i in rows]
-        S, vals, inv = _subsetdp._window_swings(w, ts)
+        S, vals, inv = _subsetdp._window_swings(w, ts, tables.get_or_build(key, w))
         sgn = 2.0 * np.sign(vals)
         for i, St in zip(rows, S):
             ds[i] = d_shapley((sgn * _subsetdp._pivot_probabilities(St))[inv], target)
@@ -652,6 +746,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     if not math.isfinite(bound):
         raise ValueError(f"xi = {xi:g} is too small: the round cap 64/xi^2 is not finite")
     cap = math.ceil(bound)
+    _check_grid_budget(cfg.grid_step, n)
     axis = _grid_axis(cfg.grid_step)
     A, f0s, means = _target_rows(target, nu, axis)
 
@@ -683,13 +778,14 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int,
         refresh = _support_refresh(n, gamma)
     engine = _GridEngine(n, A, gamma, refresh, stall_window=cfg.stall_window, cap=cap)
     d = np.full(A.shape[0], np.inf)
+    tables = _SwingTables()  # freed when the solve returns
 
     def checkpoint(finished: list[int]) -> bool:
         nets = engine.net[finished]
         if cfg.oracle_mode == "exact-enum":
             d[finished] = _exact_d_enum_batch(nets, target, n)
         else:
-            d[finished] = _exact_d_dp_batch(nets, target)
+            d[finished] = _exact_d_dp_batch(nets, target, tables)
         return bool((d[finished] <= accept_at).any())
 
     engine.run(checkpoint)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -223,6 +224,31 @@ def test_solve_unreachable_target_exits_1(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "no-solution"
     assert doc["est_dshapley"] == pytest.approx(1 / np.sqrt(3), abs=1e-6)
+
+
+@pytest.mark.parametrize("xi", ["0.5", "0.9"])
+def test_solve_with_a_round_cap_below_the_stall_window_returns_json(tmp_path, capsys, xi):
+    # the round cap ceil(64 / xi^2) is 256 or 80, below stall_window 512
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"n": 4, "shapley": [0.9, 0.4, 0.4, 0.3], "convention": "generalized"}))
+    code, out, _ = run_app(["solve", "--target", str(path), "--xi", xi], capsys)
+    doc = json.loads(out)
+    assert (code, doc["status"]) in ((0, "solved"), (1, "no-solution"))
+    assert doc["iterations"] <= math.ceil(64 / float(xi) ** 2)
+
+
+def test_solve_over_budget_grid_exits_2(tmp_path, monkeypatch, capsys):
+    from shapley_forge import solver
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(solver, "_target_rows", allocate)
+    monkeypatch.setattr(solver, "_GridEngine", allocate)
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"n": 20, "shapley": [0.1] * 20, "convention": "generalized"}))
+    code, _, err = run_app(["solve", "--target", str(path), "--grid", "0.001"], capsys)
+    assert code == 2 and "budget" in err
 
 
 def test_solve_bad_target_exits_2(tmp_path, capsys):

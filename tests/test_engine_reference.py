@@ -9,7 +9,6 @@ import pytest
 
 from reference import LockstepEngine, RoundCapError
 from shapley_forge import solver
-from shapley_forge.boosting import IterationCapError
 from shapley_forge.games import QuotaGame
 from shapley_forge.indices import shapley_exact_dp
 from shapley_forge.mu import degree1_moment_matrix
@@ -113,24 +112,40 @@ def test_packed_engine_early_stop_matches_reference():
             pending = []
     assert len(seen) == 2 and got == seen
     assert ref.alive.any()  # stopped with live rows left
+    eng.copy_back()  # run() leaves the live rows to copy_back()
     for name in STATE:
         assert np.array_equal(getattr(eng, name), getattr(ref, name)), name
+
+
+def _assert_capped(eng, ref):
+    """State after the step at the round cap, where the reference raised.
+
+    The engine finished every row that was live before that step: the ones
+    that converged or stalled there as the reference did, and the capped
+    ones, which the reference left live, unconverged and unchanged.
+    """
+    capped = ref.alive.copy()
+    assert capped.any() and not ref.converged[capped].any()
+    eng.copy_back()
+    for name in STATE:
+        want = np.zeros_like(ref.alive) if name == "alive" else getattr(ref, name)
+        assert np.array_equal(getattr(eng, name), want), name
 
 
 def test_packed_engine_hits_the_round_cap_at_the_same_step():
     n, xi = 8, 0.02
     A = _random_grid(8, n, 0.5)
     eng, ref = _pair(n, A, xi / 2.0, cap=40)
-    steps = 0
-    with pytest.raises(RoundCapError):
-        while True:
-            ref.step()
-            steps += 1
-    for _ in range(steps):
-        eng.step()
-    with pytest.raises(IterationCapError):
-        eng.step()
-    _assert_same_state(eng, ref)
+    while True:
+        live = np.flatnonzero(ref.alive).tolist()
+        try:
+            finished = ref.step()
+        except RoundCapError:
+            break
+        assert eng.step() == finished
+        _assert_same_state(eng, ref)
+    assert eng.step() == live
+    _assert_capped(eng, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +176,11 @@ def test_prefix_is_bit_identical_per_step(seed, n, xi, kwargs, r0):
             assert eng.step() == ref.step()
             _assert_same_state(eng, ref)
         assert _prefix_rounds(eng) == r0 and ref.converged.any()
+        live = np.flatnonzero(ref.alive).tolist()
         with pytest.raises(RoundCapError):
             ref.step()
-        with pytest.raises(IterationCapError):
-            eng.step()
-        _assert_same_state(eng, ref)
+        assert eng.step() == live
+        _assert_capped(eng, ref)
         return
     _step_both(eng, ref)
     R0 = _prefix_rounds(eng)
@@ -189,6 +204,7 @@ def test_prefix_early_stop_inside_the_prefix_matches_reference(monkeypatch, repl
         ref.step()
     assert eng._rounds < _prefix_rounds(eng)
     assert ref.alive.any() and np.array_equal(eng.alive, ref.alive)
+    eng.copy_back()  # run() leaves the live rows to copy_back()
     for name in STATE:
         assert np.array_equal(getattr(eng, name), getattr(ref, name)), name
 
@@ -258,9 +274,93 @@ def test_prefix_rows_finish_at_slot0_plus_voter_rounds():
     assert len(walks) < A.shape[0]
 
 
-def test_solve_with_the_reference_engine_gives_the_same_result(monkeypatch):
-    n = 16
-    rng = np.random.default_rng(18)
+def test_prefix_rows_with_a_zero_slot0_target():
+    # |A_0| <= gamma gives a* = 0: the row never appends on slot 0 and
+    # finishes at the round its column's walk stops
+    n, xi = 8, 0.02
+    gamma = xi / 2.0
+    A = _random_grid(19, n, 0.25)
+    A[::3, 0] = 0.0
+    A[1::3, 0] = -gamma
+    eng, ref = _pair(n, A, gamma)
+    _step_both(eng, ref)
+    zero = np.abs(A[:, 0]) <= gamma
+    inside = zero & (ref.t < _prefix_rounds(eng))
+    assert inside.any() and ref.converged[inside].all()
+    assert (ref.net[zero, 0] == 0).all()
+
+
+def _assert_same_stall_state(eng, ref):
+    """best and last_improved of the engine's packed live rows, per grid row."""
+    rows = eng._row[: eng._live]
+    assert np.array_equal(eng._best[: eng._live], ref.best[rows])
+    assert np.array_equal(eng._last_improved[: eng._live], ref.last_improved[rows])
+
+
+def test_prefix_shorter_than_slot0_and_voter_walks():
+    # R0 = 70: rows with A_0 = +-0.9 need a* = 89 slot-0 appends, and all
+    # but one column's walk has not stopped at R0; those rows hand off
+    # live.  Rows 0, 8, ... have b* = 0, so they finish at a* alone.
+    n, xi = 8, 0.02
+    gamma = xi / 2.0
+    A = _random_grid(24, n, 0.25)
+    A[::4, 0] = 0.9
+    A[2::4, 0] = -0.9
+    A[::8, 1:] = 0.0
+    eng, ref = _pair(n, A, gamma, lin_cap=70)
+    cross = degree1_moment_matrix(n)
+    b_star = {a.tobytes(): _voter_walk(a, gamma, cross)[0] for a in A[:, 1:]}
+    assert _slot0_rounds(0.9, gamma) >= 70 and _slot0_rounds(-0.9, gamma) >= 70
+    assert min(b_star.values()) < 70 < max(b_star.values())
+    for _ in range(70):
+        assert eng.step() == ref.step()
+        _assert_same_state(eng, ref)
+    assert _prefix_rounds(eng) == 70 and eng._walk is not None
+    assert (ref.t < 70).any() and ref.alive.any()
+    assert eng.step() == ref.step()
+    _assert_same_state(eng, ref)
+    _assert_same_stall_state(eng, ref)
+    _step_both(eng, ref)
+    assert (ref.t[::8] == 89).all()
+
+
+def test_prefix_row_finishing_at_the_last_prefix_round():
+    n, xi = 8, 0.02
+    gamma = xi / 2.0
+    A = _random_grid(22, n, 0.25)
+    free, _ = _pair(n, A, gamma, lin_cap=10**9, stall_window=None)
+    free.run()
+    last = int(np.sort(free.t)[A.shape[0] // 3])  # a finishing round inside lin_cap
+    eng, ref = _pair(n, A, gamma, lin_cap=last + 1)
+    _step_both(eng, ref)
+    R0 = _prefix_rounds(eng)
+    assert R0 == last + 1
+    assert ((ref.t == R0 - 1) & ref.converged).any() and (ref.t >= R0).any()
+
+
+def test_prefix_handoff_with_stall_window_equal_to_r0():
+    # at n = 4 the voters are negatively correlated, so a voter append on
+    # one of four tied voter targets gains nothing: such rows never improve
+    # after round 0 and stall at round stall_window = R0, the first full
+    # step, which reads best and last_improved as the handoff rebuilt them
+    n, xi = 4, 0.02
+    gamma = xi / 2.0
+    A = _random_grid(21, n, 0.25)
+    A[::5, 0] = 0.0
+    A[::5, 1:] = 0.5
+    A[1::5] = [1.5 * gamma] + [0.5 * gamma] * n  # finish at round 1
+    eng, ref = _pair(n, A, gamma, stall_window=3)
+    for _ in range(4):
+        assert eng.step() == ref.step()
+        _assert_same_state(eng, ref)
+    _assert_same_stall_state(eng, ref)
+    _step_both(eng, ref)
+    assert _prefix_rounds(eng) == 3
+    assert ((ref.t == 3) & ~ref.converged).any() and (ref.t < 3).any()
+
+
+def _solve_with_both_engines(monkeypatch, n, seed):
+    rng = np.random.default_rng(seed)
     weights = tuple(int(w) for w in rng.integers(0, 11, n))
     target = shapley_exact_dp(QuotaGame(weights, sum(weights) // 2 + 1)).shapley
     cfg = solver.SolveConfig(xi=0.005)
@@ -289,3 +389,11 @@ def test_solve_with_the_reference_engine_gives_the_same_result(monkeypatch):
     assert slow.game.threshold == fast.game.threshold
     for field in ("est_dshapley", "guess", "boost_iterations", "status", "nu_warning", "grid_evaluated"):
         assert getattr(slow, field) == getattr(fast, field), field
+
+
+def test_solve_with_the_reference_engine_gives_the_same_result(monkeypatch):
+    _solve_with_both_engines(monkeypatch, 16, 18)
+
+
+def test_solve_with_the_reference_engine_gives_the_same_result_at_n20(monkeypatch):
+    _solve_with_both_engines(monkeypatch, 20, 19)

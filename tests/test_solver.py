@@ -203,6 +203,29 @@ def test_grouped_dp_validation_equals_per_candidate(n, rng):
     assert _exact_d_dp_batch(nets, target).tolist() == _one_by_one(nets, target)
 
 
+@pytest.mark.parametrize("n", [16, 70])
+def test_dp_validation_reuses_the_tables_of_one_solve(n, rng, monkeypatch):
+    # a weight vector scored again at a later checkpoint reads the table
+    # kept from the first time; only its new thresholds' windows are new
+    W = rng.integers(-6, 9, size=(4, n))
+    first = np.array([[int(t0), *w] for w in W[:3] for t0 in rng.integers(-40, 41, 3)], dtype=np.int64)
+    later = np.array([[int(t0), *w] for w in W[1:] for t0 in rng.integers(-40, 41, 3)], dtype=np.int64)
+    target = rng.uniform(0.0, 4.0 / n, size=n)
+    built = []
+    swing_table = solver._subsetdp._swing_table
+    monkeypatch.setattr(solver._subsetdp, "_swing_table", lambda w: built.append(w.tobytes()) or swing_table(w))
+    tables = solver._SwingTables()
+    got = _exact_d_dp_batch(first, target, tables).tolist() + _exact_d_dp_batch(later, target, tables).tolist()
+    assert sorted(built) == sorted(w.tobytes() for w in W)  # each vector tabled once
+    assert got == _one_by_one(first, target) + _one_by_one(later, target)
+
+    # past the byte budget the oldest tables go first
+    monkeypatch.setattr(solver, "_TABLE_CACHE_BYTES", 1)
+    small = solver._SwingTables()
+    assert _exact_d_dp_batch(later, target, small).tolist() == got[len(first):]
+    assert list(small) == [W[3].tobytes()]
+
+
 def test_grouped_dp_validation_refuses_an_over_budget_table():
     target = np.full(3, 2.0 / 3.0)
     nets = np.array([[1, 1, 1, 1], [0, 10**12, 1, 1]], dtype=np.int64)
@@ -220,7 +243,7 @@ def test_grouped_dp_validation_refuses_an_over_budget_table():
 def test_exact_dp_solve_with_grouped_validation_matches_per_candidate(monkeypatch, target):
     cfg = SolveConfig(xi=0.02, grid_step=0.2, oracle_mode="exact-dp")
     got = solve_is(target, cfg)
-    monkeypatch.setattr(solver, "_exact_d_dp_batch", lambda nets, t: np.array(_one_by_one(nets, t)))
+    monkeypatch.setattr(solver, "_exact_d_dp_batch", lambda nets, t, *_: np.array(_one_by_one(nets, t)))
     want = solve_is(target, cfg)
     assert (got.status, got.est_dshapley, got.boost_iterations, got.grid_evaluated, got.guess) == (
         want.status, want.est_dshapley, want.boost_iterations, want.grid_evaluated, want.guess)
@@ -355,6 +378,35 @@ def test_no_solution_solve_scores_every_row_exactly_once(monkeypatch, mode):
     assert res.status == "no-solution"
     assert sorted(handed) == list(range(11 * 11)) == list(range(res.grid_evaluated))
     assert sum(scored) == 11 * 11
+
+
+def _refuse_to_allocate(monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    for name in ("_grid_axis", "_target_rows", "_GridEngine"):
+        monkeypatch.setattr(solver, name, allocate)
+
+
+def test_solve_refuses_an_over_budget_grid_before_allocating(monkeypatch):
+    # grid_step 0.001: 2001^2 = 4,004,001 cells, 672 MB per (cells, 21) array
+    _refuse_to_allocate(monkeypatch)
+    with pytest.raises(ValueError, match="MiB budget"):
+        solve_is(np.full(20, 0.1), SolveConfig(grid_step=0.001))
+    solver._check_grid_budget(0.05, 200)  # the default grid fits far above n = 20
+    solver._check_grid_budget(0.005, 20)
+
+
+def test_rows_at_the_round_cap_finish_unconverged_and_are_scored(monkeypatch):
+    # cap = ceil(64 / 0.5^2) = 256 < stall_window = 512: rows that neither
+    # converge nor stall stop at the cap and are scored with the rest
+    handed = []
+    run = _GridEngine.run
+    monkeypatch.setattr(_GridEngine, "run", lambda eng, cp: run(eng, lambda rows: handed.extend(rows) or cp(rows)))
+    res = solve_is(np.array([0.9, 0.4, 0.4, 0.3]), SolveConfig(xi=0.5))
+    assert res.status == "no-solution" and res.boost_iterations <= 256
+    assert sorted(handed) == list(range(41 * 41)) == list(range(res.grid_evaluated))
+    assert math.isfinite(res.est_dshapley)
 
 
 @pytest.mark.parametrize("window", [0, -3, 1.5, math.nan, True, "8"])
