@@ -6,19 +6,24 @@ u + off.  Counts are exact at every n: a table over n <= 62 voters holds
 int64 (every count is at most C(n, k) < 2^62), a larger one Python ints.
 Tables past a byte budget are refused before anything is allocated.
 
-Consumers evaluate a scalar profile on the signed score 2*u - total (the
-value of w.x when the +1 set sums to u), so the same tables serve sign
-games, clipped games and pivot counts, with negative weights allowed.
+One core, _window_sums, serves every consumer.  The counts over the voters
+other than i unroll to G_i[k, u] = sum_j (-1)^j F[k - j, u - j*w_i], so for
+a profile phi of the +1 set's sum, Psi_e[k] = sum_u G_i[k, u] phi(u + e*w_i)
+is sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i)
+is read once per cell r + m <= n and voters of equal weight share it.
+Every phi is -1 below an edge alpha and +1 from an edge beta, so V comes
+from the row prefix sums of F.  A step (alpha = beta) serves sign games,
+quota games and solve validation, whose index is
+sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k]; thresholds of one weight vector
+share its table.  The boosting oracle's clipped profile is gamma*(2u + d)
+on [alpha, beta), which also reads the prefix sums of the first moment
+u*F; its correlation slot i is sum_k pmf(k+1) Psi_1[k] - pmf(k) Psi_0[k].
 
-Pivot counts need no per-voter table.  The counts over the voters other
-than i unroll to G_i[k, u] = sum_j (-1)^j F[k - j, u - j*w_i], and under a
-step profile voter i swings exactly when the others' sum u falls in one
-window: [t - w_i, t) for w_i > 0, [t, t - w_i) for w_i < 0.  So a swing
-count is an alternating sum of window sums of F, each two lookups into the
-row prefix sums of F.  Only the windows depend on t: games that share a
-weight vector and differ in threshold share one table, one set of prefix
-sums and one grouping of voters by weight, and _window_swings counts them
-all in one call.
+Integer parts are summed exactly, and only the final combination with gamma
+is float.  Int64 arithmetic wraps in a ring, so a sum is exact whenever its
+true value fits.  A Psi is at most C(n-1, k), but a first-moment sum up to
+C(n-1, k) * max|2u + d| over the linear window: first moments are int64
+while that bound fits and Python ints above it, like the table itself.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 _INT64_MAX_N = 62
 # budget of one (n+1) x width count table, at 8 bytes a cell
 _TABLE_BYTES = 256 << 20
-# bytes of the (t, j, k, weight) window gathers in one block of steps t and shifts j
+# bytes of the (profile, weight, cell) gathers of one block of _window_sums
 _GATHER_BYTES = 32 << 20
 
 
@@ -97,44 +102,34 @@ def leave_one_out(F: np.ndarray, off: int, wi: int) -> np.ndarray:
     return G
 
 
-def mu_correlations_affine(weights, phi, pmf_point: np.ndarray) -> np.ndarray:
-    """Correlations (E[h], E[h x_1], ..., E[h x_n]) of h(x) = phi(w.x).
+def mu_correlations_affine(weights, c0: int, gamma: float, pmf_point: np.ndarray) -> np.ndarray:
+    """Correlations (E[h], E[h x_1], ..., E[h x_n]) of h(x) = clip(gamma (w.x + c0), -1, 1).
 
-    phi maps integer scores to values, vectorized.  pmf_point[k] is the
-    probability of one specific point of Hamming weight k.
+    pmf_point[k] is the probability of one specific point of Hamming weight k.
     """
     w = _int_weights(weights)
-    n = w.size
-    total = int(w.sum())
-    F, off = subset_count_table(w)
-    width = F.shape[1]
-    u = np.arange(width) - off
-
-    vals_full = np.asarray(phi(2 * u - total), dtype=np.float64)
-    out = np.empty(n + 1)
-    out[0] = float(np.einsum("k,ku,u->", pmf_point[: n + 1], F, vals_full))
-
-    for i, wi in enumerate(w):
-        G = leave_one_out(F, off, int(wi))
-        # x_i = +1: Hamming weight k+1, score 2(u + w_i) - total
-        vplus = np.asarray(phi(2 * (u + wi) - total), dtype=np.float64)
-        # x_i = -1: Hamming weight k, score 2u - total
-        vminus = vals_full
-        acc = 0.0
-        for k in range(n):
-            row = G[k]
-            acc += pmf_point[k + 1] * float(row @ vplus) - pmf_point[k] * float(row @ vminus)
-        out[i + 1] = acc
-    return out
+    table = _swing_table(w)
+    off, width = table[1], table[0].shape[1] - 1
+    # w.x = 2u - total, so h = clip(gamma (2u + d)): -1 below alpha, +1 from beta
+    d = int(c0) - sum(w.tolist())
+    z = gamma * (2 * (np.arange(width) - off) + d)
+    alpha = int(np.count_nonzero(z <= -1.0)) - off
+    beta = int(np.count_nonzero(z < 1.0)) - off
+    Psi, _, inv = _window_sums(w, [alpha], [beta], gamma, d, table)
+    Psi = np.asarray(Psi[0], dtype=np.float64)
+    # x_i = +1 puts a k-subset of the others at Hamming weight k + 1
+    up = pmf_point[1:] @ Psi[1]
+    down = pmf_point[:-1] @ Psi[0]
+    # F[k] = G_i[k] + G_i[k-1] shifted by w_i, for any one voter i
+    return np.concatenate(([up[0] + down[0]], (up - down)[inv]))
 
 
 def _swing_table(w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """What every threshold of weight vector w reads: (P, off, vals, inv).
+    """What every profile of weight vector w reads: (P, off, vals, inv).
 
-    P[r, c] is the sum of F[r, :c] over the subset table F of w; row n is
-    never needed (k - j <= n - 1) and is zeroed to serve as the target of
-    every r = k - j < 0.  vals are the distinct weights and inv maps each
-    voter to its column.
+    P[r, c] is the sum of F[r, :c] over the subset table F of w, for the
+    rows r < n that any other voter set reaches.  vals are the distinct
+    weights and inv maps each voter to its column.
     """
     F, off = subset_count_table(w)
     n, width = w.size, F.shape[1]
@@ -143,48 +138,93 @@ def _swing_table(w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray
     vals = np.sort(w)
     vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
     inv = np.searchsorted(vals, w)
-    P = np.zeros((n + 1, width + 1), dtype=F.dtype)
-    np.cumsum(F[:n], axis=1, out=P[:n, 1:])
+    P = np.zeros((n, width + 1), dtype=F.dtype)
+    np.cumsum(F[:n], axis=1, out=P[:, 1:])
     return P, off, vals, inv
 
 
-def _window_swings(w: np.ndarray, ts, table=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Swing counts across each step in ts, one column per distinct weight.
+@lru_cache(maxsize=None)
+def _diagonals(n: int) -> tuple[np.ndarray, ...]:
+    """The cells (r, m) of V that Psi reads, with (-1)^m and the diagonal starts.
 
-    Returns (S, vals, inv): vals are the distinct weights, inv maps each
-    voter to its column, and S[i, k, g] counts the k-subsets of the other
-    voters whose sum u puts u and u + vals[g] on opposite sides of ts[i]
-    (the window of the module docstring).  Every step reads the same
-    _swing_table(w), which a caller that scores w again may pass as table;
-    only the windows move.  Int64 arithmetic wraps in a ring, so S is exact
-    whenever its entries fit, which the table's dtype ensures.
+    The n cells m = 0 come first.  Then diagonal d = r + m = 1..n lists its
+    cells m = 1..d, from starts[d - 1] on (counted past the m = 0 cells).
+    """
+    m = np.concatenate([np.zeros(n, dtype=np.int64)] + [np.arange(1, d + 1) for d in range(1, n + 1)])
+    r = np.concatenate([np.arange(n)] + [d - np.arange(1, d + 1) for d in range(1, n + 1)])
+    d = np.arange(1, n + 1)
+    out = (r, m, 1 - 2 * (m % 2), d * (d - 1) // 2)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _alternating(X: np.ndarray, n: int, c: int) -> np.ndarray:
+    """c times (Psi_0, Psi_1) of values X[q] on the cells of _diagonals(n), per row q.
+
+    Psi_0[k] = X[k, 0] + D[k] and Psi_1[k] = -D[k + 1], where D[d] sums
+    (-1)^m X[r, m] over diagonal d's cells m >= 1.
+    """
+    _, _, sign, starts = _diagonals(n)
+    Y = X * (c * sign)
+    D = np.add.reduceat(Y[:, n:], starts, axis=1)
+    out = np.stack((Y[:, :n], -D), axis=1)
+    out[:, 0, 1:] += D[:, :-1]
+    return out
+
+
+def _window_sums(w: np.ndarray, alpha, beta=None, gamma: float = 0.0, d: int = 0, table=None):
+    """(Psi, vals, inv): Psi[p, e, k, g] = sum_u G_g[k, u] phi_p(u + e*vals[g]).
+
+    vals are the distinct weights and inv maps each voter to its column g.
+    phi_p is -1 below alpha[p], +1 from beta[p] and gamma*(2u + d) between.
+    Steps (beta = None) give integer Psi of the table's dtype, a linear
+    window float64.  A caller that scores w again may pass its
+    _swing_table(w) as table; only the edges move.
     """
     P, off, vals, inv = _swing_table(w) if table is None else table
     n, width = w.size, P.shape[1] - 1
-    # outside [lo, hi + 1] every window is empty, and t stays in int64
-    t = np.array([min(max(int(v), -off), width - off) + off for v in ts], dtype=np.int64)
-    a = t[:, None] - np.maximum(vals, 0)
-    b = t[:, None] - np.minimum(vals, 0)
+    r, m, _, _ = _diagonals(n)
+    # outside [lo, hi + 1] an edge changes no value phi takes on the table
+    a, b = (np.array([min(max(int(e), -off), width - off) + off for e in edges], dtype=np.int64)
+            for edges in (alpha, alpha if beta is None else beta))
+    linear = beta is not None and bool((a < b).any())
+    if linear:
+        d2 = int(d) - 2 * off  # 2u + d = 2c + d2 at column c
+        edge = max(np.abs(2 * a + d2).max(), np.abs(2 * b - 2 + d2).max())
+        if P.dtype != object and math.comb(n - 1, (n - 1) // 2) * int(edge) >= 1 << 63:
+            P = P.astype(object)
+        P1 = np.zeros_like(P)  # prefix sums of c * F[r, c]
+        np.cumsum(np.diff(P, axis=1) * np.arange(width), axis=1, out=P1[:, 1:])
 
-    # each (t, j) pair of a block gathers 24 * n * vals.size bytes
-    k = np.arange(n)
-    pair = 24 * n * vals.size
-    step = max(2, _GATHER_BYTES // pair) // 2 * 2  # even: j0 stays even
-    t_step = max(1, _GATHER_BYTES // (pair * min(step, n)))
-    S = np.zeros((t.size, n, vals.size), dtype=P.dtype)
-    for j0 in range(0, n, step):
-        j = np.arange(j0, min(n, j0 + step))
-        r = k[None, :] - j[:, None]
-        r[r < 0] = n
-        r = r[:, :, None]
-        shift = j[:, None] * vals[None, :]
-        for t0 in range(0, t.size, t_step):
-            blk = slice(t0, t0 + t_step)
-            hi = np.clip(b[blk, None, :] - shift, 0, width)[:, :, None, :]
-            lo = np.clip(a[blk, None, :] - shift, 0, width)[:, :, None, :]
-            win = P[r, hi] - P[r, lo]  # (t, j, k, g) window sums of F[k - j]
-            S[blk] += win[:, 0::2].sum(axis=1) - win[:, 1::2].sum(axis=1)
-    return S, vals, inv
+    T, G, L = a.size, vals.size, r.size
+    ea, eb = np.repeat(a, G), np.repeat(b, G)
+    wv = np.tile(vals, T)
+    base = r * (width + 1)
+    rows = max(1, _GATHER_BYTES // (L * (96 if linear else 24)))
+    # V's row totals C(n, r) sum to Psi_0 = Psi_1 = C(n-1, k): phi = +1 throughout
+    totals = np.array([math.comb(n - 1, k) for k in range(n)], dtype=P.dtype)
+    out = np.empty((T * G, 2, n), dtype=np.float64 if linear else P.dtype)
+    for q0 in range(0, T * G, rows):
+        q = slice(q0, q0 + rows)
+        mw = np.multiply.outer(wv[q], m)
+
+        def gather(P, e):
+            c = e[q, None] - mw
+            np.maximum(c, 0, out=c)
+            np.minimum(c, width, out=c)
+            c += base
+            return P.ravel().take(c)
+
+        lo = gather(P, ea)
+        if not linear:
+            out[q] = totals + _alternating(lo, n, -2)
+            continue
+        hi = gather(P, eb)
+        J1 = 2 * (gather(P1, eb) - gather(P1, ea)) + (2 * mw + d2) * (hi - lo)
+        J0 = totals + _alternating(lo + hi, n, -1)
+        out[q] = np.asarray(J0, dtype=np.float64) + gamma * np.asarray(_alternating(J1, n, 1), dtype=np.float64)
+    return np.ascontiguousarray(out.reshape(T, G, 2, n).transpose(0, 2, 3, 1)), vals, inv
 
 
 @lru_cache(maxsize=None)
@@ -195,13 +235,18 @@ def _pivot_coef(n: int) -> np.ndarray:
     return coef
 
 
-def _pivot_probabilities(S: np.ndarray) -> np.ndarray:
-    """sum_k S[k] k!(n-1-k)!/n! per column, in float64."""
-    n = S.shape[0]
-    if S.dtype == object:  # divide exactly: the coefficients can underflow
+def _step_indices(Psi: np.ndarray) -> np.ndarray:
+    """sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k] per step profile and weight, in float64.
+
+    Psi_1 - Psi_0 is twice a signed swing count: exact in int64 (below
+    2 C(n-1, k) < 2^63), and its float is exactly twice that of the count.
+    """
+    n = Psi.shape[2]
+    D = Psi[:, 1] - Psi[:, 0]
+    if D.dtype == object:  # divide exactly: the coefficients can underflow
         combs = np.array([math.comb(n - 1, k) for k in range(n)], dtype=object)
-        return (S / combs[:, None]).astype(np.float64).sum(axis=0) / n
-    return _pivot_coef(n) @ S
+        return (D / combs[:, None]).astype(np.float64).sum(axis=1) / n
+    return np.stack([_pivot_coef(n) @ Dt for Dt in D])
 
 
 def shapley_affine(weights, threshold: float) -> np.ndarray:
@@ -213,8 +258,8 @@ def shapley_affine(weights, threshold: float) -> np.ndarray:
     w = _int_weights(weights)
     # w.x = 2u - total is an integer, so w.x >= threshold iff u >= t
     t = -((-math.ceil(threshold) - sum(w.tolist())) // 2)
-    S, vals, inv = _window_swings(w, [t])
-    return (2.0 * np.sign(vals) * _pivot_probabilities(S[0]))[inv]
+    Psi, _, inv = _window_sums(w, [t])
+    return _step_indices(Psi)[0][inv]
 
 
 def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
@@ -222,5 +267,5 @@ def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
     w = _int_weights(int_weights)
     if np.any(w < 0):
         raise ValueError("quota games need nonnegative weights")
-    S, _, inv = _window_swings(w, [quota])
-    return _pivot_probabilities(S[0])[inv]
+    Psi, _, inv = _window_sums(w, [quota])
+    return (0.5 * _step_indices(Psi)[0])[inv]

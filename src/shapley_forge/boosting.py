@@ -12,7 +12,7 @@ argument guarantees within 64/xi^2 rounds for oracles accurate to xi/16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,17 +114,16 @@ def exact_enum_oracle(n: int):
 
 
 def exact_dp_oracle(n: int):
-    """Zero-error oracle by subset counting; no enumeration, any n."""
+    """Zero-error oracle by subset counting; no enumeration, any n.
+
+    One subset table of w = net[1:] per call: the clipped form is read off
+    its row prefix sums and first moments, with no per-voter table.
+    """
     pmf_point = np.array([mu_pmf(n, k) for k in range(n + 1)])
 
     def oracle(state: BoostState) -> np.ndarray:
         net = state.net
-        gamma, c0 = state.gamma, int(net[0])
-
-        def phi(z: np.ndarray) -> np.ndarray:
-            return np.clip(gamma * (z + c0), -1.0, 1.0)
-
-        return _subsetdp.mu_correlations_affine(net[1:], phi, pmf_point)
+        return _subsetdp.mu_correlations_affine(net[1:], int(net[0]), state.gamma, pmf_point)
 
     return oracle
 
@@ -148,7 +147,6 @@ class BoostResult:
     correlations: np.ndarray
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
 
 
 def boost(
@@ -157,7 +155,6 @@ def boost(
     *,
     cap: int | None = None,
     stall_window: int | None = None,
-    record: bool = False,
 ) -> BoostResult:
     """Run the loop until every slot is matched to within gamma = xi/2.
 
@@ -173,7 +170,6 @@ def boost(
     if cap is None:
         cap = math.ceil(64.0 / targets.xi**2)
     state = BoostState(n=n, gamma=gamma)
-    history: list = []
     best = math.inf
     last_improved = 0
     while True:
@@ -182,16 +178,13 @@ def boost(
         j = int(np.argmax(np.abs(viol)))
         v = float(abs(viol[j]))
         if v <= gamma:
-            return BoostResult(state, a_t, state.t, True, history)
+            return BoostResult(state, a_t, state.t, True)
         if v < best - gamma / 16.0:
             best = v
             last_improved = state.t
         elif stall_window is not None and state.t - last_improved >= stall_window:
-            return BoostResult(state, a_t, state.t, False, history)
+            return BoostResult(state, a_t, state.t, False)
         if state.t + 1 > cap:
             raise IterationCapError(f"no convergence within {cap} rounds (xi={targets.xi})")
-        sign = 1 if viol[j] > 0 else -1
-        if record:
-            history.append((state.t, j, sign, float(viol[j])))
-        state.counts[0 if sign > 0 else 1, j] += 1
+        state.counts[0 if viol[j] > 0 else 1, j] += 1
         state.t += 1

@@ -4,8 +4,7 @@ Subcommands: compute (exact or sampled index vector of a game file),
 estimate (accuracy-driven sampling), solve / solve-bounded (grid-search
 synthesis from a target file; exact and seedless, by the subset DP or with
 --oracle enum the truth table), sample-mu (draws from the slice
-distribution), diagnose (anti-concentration and distance reports), and a
-hidden boost-debug trace.
+distribution), and diagnose (anti-concentration and distance reports).
 
 Exit codes: 0 success, 1 solver reported no solution, 2 usage or input
 validation failure.  JSON floats are emitted with 17 significant digits.
@@ -350,32 +349,6 @@ def _cmd_diagnose(args) -> int:
     return 0
 
 
-def _cmd_boost_debug(args) -> int:
-    import numpy as np
-
-    from .boosting import BoostTargets, boost, exact_dp_oracle, exact_enum_oracle, sampled_oracle
-    from .indices import correlations_from_shapley
-
-    n, target = _load_target(args.target)
-    nu = 2.0 / n
-    coords = correlations_from_shapley(np.asarray(target), nu, args.mean_corr)
-    a = np.concatenate([[args.f0], coords])
-    if args.oracle == "enum":
-        oracle = exact_enum_oracle(n)
-    elif args.oracle == "dp":
-        oracle = exact_dp_oracle(n)
-    else:
-        oracle = sampled_oracle(n, args.xi, 1e-3, args.seed)
-    try:
-        res = boost(BoostTargets(a=a, xi=args.xi), oracle, stall_window=args.stall, record=True)
-    except Exception as exc:
-        _die(f"boost failed: {exc}")
-    rows = [[t, f"{'+' if sg > 0 else '-'}{j}", format(v, ".17g")] for t, j, sg, v in res.history]
-    man = _manifest("boost-debug", vars(args), args.seed, "converged" if res.converged else "stalled")
-    _emit_csv(["t", "literal", "violation"], rows, args.out, man)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser and entry point
 # ---------------------------------------------------------------------------
@@ -439,17 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_diagnose)
-
-    p = sub.add_parser("boost-debug")  # intentionally undocumented
-    p.add_argument("--target", required=True)
-    p.add_argument("--f0", type=float, required=True)
-    p.add_argument("--mean-corr", type=float, required=True)
-    p.add_argument("--xi", type=float, default=0.1)
-    p.add_argument("--oracle", choices=("enum", "dp", "sampled"), default="enum")
-    p.add_argument("--stall", type=int, default=2048)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_boost_debug)
 
     return ap
 

@@ -688,10 +688,9 @@ def _exact_d_dp_batch(
         total = sum(w.tolist())
         # net_0 + w.x = net_0 + 2u - total >= 0 iff u >= t, as in shapley_affine
         ts = [-((int(nets[i, 0]) - total) // 2) for i in rows]
-        S, vals, inv = _subsetdp._window_swings(w, ts, tables.get_or_build(key, w))
-        sgn = 2.0 * np.sign(vals)
-        for i, St in zip(rows, S):
-            ds[i] = d_shapley((sgn * _subsetdp._pivot_probabilities(St))[inv], target)
+        Psi, _, inv = _subsetdp._window_sums(w, ts, table=tables.get_or_build(key, w))
+        for i, index in zip(rows, _subsetdp._step_indices(Psi)):
+            ds[i] = d_shapley(index[inv], target)
     return ds
 
 

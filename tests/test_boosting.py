@@ -69,14 +69,25 @@ def test_boost_converges_on_realizable_targets(rng):
 
 
 def test_every_appended_literal_was_a_real_violation(rng):
+    # watch the loop through its oracle: each round appends one literal, on
+    # the worst slot, with the sign of a violation larger than gamma
     targets = _realizable_targets(rng, 5, xi=0.08)
-    res = boost(targets, exact_enum_oracle(5), record=True)
+    oracle, seen = exact_enum_oracle(5), []
+
+    def watching(state):
+        seen.append((state.counts.copy(), oracle(state)))
+        return seen[-1][1]
+
+    res = boost(targets, watching)
     assert res.converged
-    assert len(res.history) == res.iterations
-    for t, j, sign, viol in res.history:
-        assert abs(viol) > targets.gamma
-        assert sign == (1 if viol > 0 else -1)
-        assert 0 <= j <= 5
+    assert len(seen) == res.iterations + 1
+    for (before, corr), (after, _) in zip(seen, seen[1:]):
+        viol = targets.a - corr
+        j = int(np.argmax(np.abs(viol)))
+        assert abs(viol[j]) > targets.gamma
+        step = np.zeros_like(before)
+        step[0 if viol[j] > 0 else 1, j] = 1
+        assert np.array_equal(after - before, step)
 
 
 def test_no_cancellation_of_appends(rng):

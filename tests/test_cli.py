@@ -444,18 +444,6 @@ def test_diagnose_needs_other_for_distances(game_file, capsys):
     assert code == 2
 
 
-def test_boost_debug_trace(target_file, capsys):
-    code, out, _ = run_app(
-        ["boost-debug", "--target", target_file, "--f0", "0", "--mean-corr", "0.3", "--xi", "0.05"],
-        capsys,
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows
-    assert {"t", "literal", "violation"} == set(rows[0])
-    assert rows[0]["literal"].startswith(("+", "-"))
-
-
 # ---------------------------------------------------------------------------
 # process-level checks
 # ---------------------------------------------------------------------------

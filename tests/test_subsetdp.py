@@ -3,7 +3,8 @@ import pytest
 
 import reference as ref
 from shapley_forge import _subsetdp
-from shapley_forge._subsetdp import classical_pivot_dp, subset_count_table
+from shapley_forge._subsetdp import classical_pivot_dp, leave_one_out, subset_count_table
+from shapley_forge.mu import mu_pmf
 
 
 def _full_copy_table(weights):
@@ -63,12 +64,66 @@ def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
     # steps inside the table, at its edges, beyond them and past int64
     ts = [17, -total - 2, -total, 0, total, total + 9, -(10**30), 10**30]
     ts += rng.integers(-total, total + 1, size=40).tolist()
-    whole = _subsetdp._window_swings(w, ts)[0]
-    assert whole.shape == (len(ts), 41, np.unique(w).size)
-    for t, S in zip(ts, whole):
-        assert np.array_equal(_subsetdp._window_swings(w, [t])[0][0], S)
-    pair = 24 * 41 * np.unique(w).size  # gather bytes per (step, shift) pair
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 3 * 42 * pair)  # 3 steps, all shifts
-    assert np.array_equal(_subsetdp._window_swings(w, ts)[0], whole)
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # one step and two shifts j per block
-    assert np.array_equal(_subsetdp._window_swings(w, ts)[0], whole)
+    # clipped profiles: windows inside, straddling an edge, beyond the table
+    alphas = [-30, -total - 5, total - 3, -(10**30), 5, 40]
+    betas = [25, -total + 4, total + 8, 10**30, 5, 12]
+    G = np.unique(w).size
+
+    def sums():
+        return _subsetdp._window_sums(w, ts)[0], _subsetdp._window_sums(w, alphas, betas, 0.01, 7)[0]
+
+    steps, clipped = sums()
+    assert steps.shape == (len(ts), 2, 41, G) and steps.dtype == np.int64
+    assert clipped.shape == (len(alphas), 2, 41, G) and clipped.dtype == np.float64
+    for t, S in zip(ts, steps):
+        assert np.array_equal(_subsetdp._window_sums(w, [t])[0][0], S)
+    cells = 41 * 44 // 2  # cells read per (profile, weight) row
+    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 96 * cells * 5)  # 5 clipped rows a block
+    assert all(np.array_equal(x, y) for x, y in zip(sums(), (steps, clipped)))
+    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # one row per block
+    assert all(np.array_equal(x, y) for x, y in zip(sums(), (steps, clipped)))
+
+
+def _per_voter_correlations(w, c0, gamma, pmf):
+    """The correlations of clip(gamma (w.x + c0)) from one leave-one-out table per voter."""
+    F, off = subset_count_table(w)
+    F = F.astype(object)
+    n, total = len(w), sum(w)
+    u = np.arange(F.shape[1]) - off
+    per_weight = {}
+
+    def phi(s):
+        return np.clip(gamma * (2 * s - total + c0), -1.0, 1.0)
+
+    out = [sum(pmf[k] * (F[k] @ phi(u)) for k in range(n + 1))]
+    for wi in w:
+        if wi not in per_weight:  # voters of equal weight have one table
+            G = leave_one_out(F, off, wi)
+            up, down = G @ phi(u + wi), G @ phi(u)
+            per_weight[wi] = sum(pmf[k + 1] * up[k] - pmf[k] * down[k] for k in range(n))
+        out.append(per_weight[wi])
+    return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("n", [5, 17, 40, 62, 63, 70])
+def test_correlations_match_per_voter_sums_past_int64(n, rng):
+    # first-moment sums pass int64 at n = 62 when the linear window is wide
+    # (C(61, 30) * 50 > 2^63); n >= 63 tables hold Python ints throughout
+    pmf = np.array([mu_pmf(n, k) for k in range(n + 1)])
+    w = [int(v) for v in rng.integers(-3, 4, size=n)]
+    total, A = sum(w), sum(abs(v) for v in w)  # w.x ranges over [-A, A]
+    cases = [
+        (1.0, 1 - total % 2),  # odd scores: no score is linear, every one clips
+        (0.05, A + 40),  # window below the table: h = +1 throughout
+        (0.05, -A - 40),  # window above it: h = -1 throughout
+        (0.05, A - 10),  # window straddles the lowest score
+        (0.05, -A + 10),  # window straddles the highest score
+        (2.0 / A, 3),  # window inside the table, half its span
+    ]
+    cases = [(w, gamma, c0) for gamma, c0 in cases]
+    if n == 62:
+        cases.append(([1] * 62, 0.0025, 40))  # every score linear, |w.x + c0| up to 102
+    for w, gamma, c0 in cases:
+        got = _subsetdp.mu_correlations_affine(w, c0, gamma, pmf)
+        want = _per_voter_correlations(w, c0, gamma, pmf)
+        assert np.allclose(got, want, rtol=0, atol=1e-12), (gamma, c0)
