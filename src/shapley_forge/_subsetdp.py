@@ -6,24 +6,25 @@ u + off.  Counts are exact at every n: a table over n <= 62 voters holds
 int64 (every count is at most C(n, k) < 2^62), a larger one Python ints.
 Tables past a byte budget are refused before anything is allocated.
 
-One core, _window_sums, serves every consumer.  The counts over the voters
-other than i unroll to G_i[k, u] = sum_j (-1)^j F[k - j, u - j*w_i], so for
-a profile phi of the +1 set's sum, Psi_e[k] = sum_u G_i[k, u] phi(u + e*w_i)
-is sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i)
-is read once per cell r + m <= n and voters of equal weight share it.
-Every phi is -1 below an edge alpha and +1 from an edge beta, so V comes
-from the row prefix sums of F.  A step (alpha = beta) serves sign games,
-quota games and solve validation, whose index is
-sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k]; thresholds of one weight vector
-share its table.  The boosting oracle's clipped profile is gamma*(2u + d)
-on [alpha, beta), which also reads the prefix sums of the first moment
-u*F; its correlation slot i is sum_k pmf(k+1) Psi_1[k] - pmf(k) Psi_0[k].
+Step profiles: the counts over the voters other than i unroll to G_i[k, u]
+= sum_j (-1)^j F[k - j, u - j*w_i], so for a step phi of the +1 set's sum,
+-1 below t and +1 from it, Psi_e[k] = sum_u G_i[k, u] phi(u + e*w_i) is
+sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i)
+is read once per cell r + m <= n from the row prefix sums of F, and voters
+of equal weight share it (_window_sums).  Steps serve sign games, quota
+games and solve validation, whose index is sum_k k!(n-1-k)!/n! (Psi_1 -
+Psi_0)[k]; thresholds of one weight vector share its table.  Int64
+arithmetic wraps in a ring, so these sums are exact whenever the true
+value fits, and a Psi is at most C(n-1, k).
 
-Integer parts are summed exactly, and only the final combination with gamma
-is float.  Int64 arithmetic wraps in a ring, so a sum is exact whenever its
-true value fits.  A Psi is at most C(n-1, k), but a first-moment sum up to
-C(n-1, k) * max|2u + d| over the linear window: first moments are int64
-while that bound fits and Python ints above it, like the table itself.
+Clipped profiles: the boosting oracle's h = clip(gamma (w.x + c0)) is -1,
+linear, then +1 in the +1 set's sum.  A clip table per weight vector
+(_clip_tables) holds the pmf-weighted counts R_0 = sum_k pmf(k) F[k] and,
+per distinct weight g, L_g = sum_k pmf(k) G_g[k], with G_g formed exactly
+by a recurrence in k before any weighting.  From their prefix sums and
+first moments, E[h] = sum_u R_0 phi and E[h x_i] = E[h] - 2 sum_u L_g phi
+are a few lookups for each c0, so the dense rows of a solve that share a
+weight vector share one table (_clip_correlations).
 """
 
 from __future__ import annotations
@@ -35,10 +36,16 @@ import numpy as np
 
 # largest voter count whose subset counts C(n, k) all fit in int64
 _INT64_MAX_N = 62
+# largest voter count whose subset counts all fit a float64 mantissa (2^53)
+_FLOAT_EXACT_N = 56
 # budget of one (n+1) x width count table, at 8 bytes a cell
 _TABLE_BYTES = 256 << 20
 # bytes of the (profile, weight, cell) gathers of one block of _window_sums
 _GATHER_BYTES = 32 << 20
+# bytes of one block of the clip-table recurrence (about 6 arrays) and of
+# the row gathers: small enough to stay in cache, which makes the
+# recurrence 1.3x faster than one block per batch
+_BLOCK_BYTES = 1 << 20
 
 
 def _int_weights(weights) -> np.ndarray:
@@ -106,22 +113,141 @@ def mu_correlations_affine(weights, c0: int, gamma: float, pmf_point: np.ndarray
     """Correlations (E[h], E[h x_1], ..., E[h x_n]) of h(x) = clip(gamma (w.x + c0), -1, 1).
 
     pmf_point[k] is the probability of one specific point of Hamming weight k.
+    One row of _clip_correlations on its own table.
     """
     w = _int_weights(weights)
-    table = _swing_table(w)
-    off, width = table[1], table[0].shape[1] - 1
-    # w.x = 2u - total, so h = clip(gamma (2u + d)): -1 below alpha, +1 from beta
-    d = int(c0) - sum(w.tolist())
-    z = gamma * (2 * (np.arange(width) - off) + d)
-    alpha = int(np.count_nonzero(z <= -1.0)) - off
-    beta = int(np.count_nonzero(z < 1.0)) - off
-    Psi, _, inv = _window_sums(w, [alpha], [beta], gamma, d, table)
-    Psi = np.asarray(Psi[0], dtype=np.float64)
-    # x_i = +1 puts a k-subset of the others at Hamming weight k + 1
-    up = pmf_point[1:] @ Psi[1]
-    down = pmf_point[:-1] @ Psi[0]
-    # F[k] = G_i[k] + G_i[k-1] shifted by w_i, for any one voter i
-    return np.concatenate(([up[0] + down[0]], (up - down)[inv]))
+    srt, inv = voter_ranks(w[None, :])
+    store, tables = _clip_tables(srt, pmf_point)
+    return _clip_correlations(store, tables, np.array([c0], dtype=np.int64), inv, gamma)[0]
+
+
+def voter_ranks(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted ws, inv): each row sorted, and each voter's rank among its row's distinct weights.
+
+    A subset table does not depend on voter order, so rows that sort alike
+    share one; inv maps voter i of a row to its distinct weight's profile.
+    """
+    order = np.argsort(ws, axis=1, kind="stable")
+    srt = np.take_along_axis(ws, order, axis=1)
+    new = np.ones(srt.shape, dtype=bool)
+    new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    inv = np.empty(srt.shape, dtype=np.intp)
+    np.put_along_axis(inv, order, np.cumsum(new, axis=1) - 1, axis=1)
+    return srt, inv
+
+
+def _clip_tables(srt: np.ndarray, pmf_point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(store, tables): the clip tables of the sorted weight vectors srt, built together.
+
+    The table of a row holds, over the columns c = u + off of its subset
+    table F, the pmf-weighted counts R_0 = sum_k pmf(k) F[k] and, for each
+    distinct weight g, L_g = sum_k pmf(k) G_g[k], where G_g counts the
+    subsets of the voters other than one of weight g.  G_g[k] = F[k] -
+    G_g[k-1] shifted by g runs in F's exact dtype, and only then is it
+    weighted, so every weighted term is non-negative.  Row m's table sits
+    in the 1-d store from tables[m] = (base, profiles, columns) on: the
+    row prefix sums of its profiles (R_0, L_g...), a (profiles, columns +
+    1) block, then those of c times them.  Rows are padded to one width,
+    and every sum runs element by element in a fixed order, so a table
+    does not depend on the rows built with it.
+    """
+    M, n = srt.shape
+    tabs = [subset_count_table(w)[0] for w in srt]
+    width = max(F.shape[1] for F in tabs)
+    # float64 holds every count exactly up to _FLOAT_EXACT_N voters
+    dtype = np.float64 if n <= _FLOAT_EXACT_N else tabs[0].dtype
+    F = np.zeros((n + 1, M, width), dtype=dtype)
+    for m, Fm in enumerate(tabs):
+        F[:, m, : Fm.shape[1]] = Fm
+    del tabs
+    # one job per row for R_0, then one per distinct weight: table row order
+    job = np.ones((M, n + 1), dtype=bool)
+    job[:, 2:] = srt[:, 1:] != srt[:, :-1]
+    job = np.flatnonzero(job)
+    net, pos = np.divmod(job, n + 1)
+    J = job.size
+    # G[k-1] shifted by g, read through a zero column at index width; an
+    # R_0 job reads only that column, so its G[k] is F[k]
+    col = np.arange(width) - srt[net, pos - 1][:, None]
+    col[(col < 0) | (col >= width) | (pos == 0)[:, None]] = width
+    X = np.zeros((J, width))
+    # the recurrence runs over blocks of jobs whose arrays stay in cache
+    blk = max(1, _BLOCK_BYTES // (48 * width))
+    for lo in range(0, J, blk):
+        nb = min(blk, J - lo)
+        at = col[lo : lo + nb] + (width + 1) * np.arange(nb)[:, None]
+        G = np.zeros((nb, width + 1), dtype=dtype)
+        Gk, Xb, jn = G[:, :width], X[lo : lo + nb], net[lo : lo + nb]
+        for k in range(n + 1):  # G_g[n] is 0, exactly
+            np.subtract(F[k].take(jn, axis=0), G.ravel().take(at), out=Gk)
+            Xb += pmf_point[k] * (Gk if dtype == np.float64 else Gk.astype(np.float64))
+    Q = np.zeros((2, J, width + 1))
+    np.cumsum(X, axis=1, out=Q[0, :, 1:])
+    X *= np.arange(width)
+    np.cumsum(X, axis=1, out=Q[1, :, 1:])
+    start = np.flatnonzero(pos == 0)
+    profiles = np.diff(start, append=J)
+    columns = np.abs(srt).sum(axis=1) + 1
+    size = 2 * profiles * (columns + 1)
+    base = np.cumsum(size) - size
+    store = np.empty(int(size.sum()))
+    for j, p, c, b in zip(start.tolist(), profiles.tolist(), columns.tolist(), base.tolist()):
+        store[b : b + 2 * p * (c + 1)].reshape(2, p, c + 1)[...] = Q[:, j : j + p, : c + 1]
+    return store, np.stack([base, profiles, columns], axis=1)
+
+
+def _clip_edges(gamma: float) -> tuple[int, int]:
+    """(s1, s2): gamma*s <= -1 iff s <= s1 and gamma*s >= 1 iff s >= s2, over integers s.
+
+    The products are the floats the clip sees; they are monotone in s.
+    Both edges are capped at +-2^61, beyond every score a table holds.
+    """
+    lim = 1 << 61
+    if not gamma > 1.0 / lim:
+        return -lim, lim
+    s1 = max(-lim, math.floor(-1.0 / gamma))
+    while gamma * (s1 + 1) <= -1.0:
+        s1 += 1
+    while s1 > -lim and gamma * s1 > -1.0:
+        s1 -= 1
+    s2 = min(lim, math.ceil(1.0 / gamma))
+    while gamma * (s2 - 1) >= 1.0:
+        s2 -= 1
+    while s2 < lim and gamma * s2 < 1.0:
+        s2 += 1
+    return s1, s2
+
+
+def _clip_correlations(store, tables, c0, inv, gamma: float) -> np.ndarray:
+    """Correlations of clip(gamma (w.x + c0[r])) for each row r, read from its table.
+
+    tables[r] places row r's table in the store (_clip_tables), and inv[r]
+    maps its voters to the table's distinct weights (voter_ranks).  At
+    column c of a table, w.x + c0 = 2c + d with d = c0 - sum|w|, so the
+    profile is -1 on columns below a, +1 from b and gamma (2c + d) between:
+    each profile sum is six lookups into a table's prefix sums.  Slot 0 is
+    the R_0 sum S_0, and voter slot i is S_0 - 2 S_g for its weight g.
+    """
+    s1, s2 = _clip_edges(gamma)
+    c0 = np.asarray(c0, dtype=np.int64)
+    out = np.empty((len(tables), inv.shape[1] + 1))
+    # rows go in blocks of about _BLOCK_BYTES of gathers
+    step = max(1, _BLOCK_BYTES // (96 * int(tables[:, 1].max())))
+    for lo in range(0, len(tables), step):
+        r = slice(lo, lo + step)
+        base, profiles, top = tables[r].T
+        d = c0[r] - (top - 1)
+        a = np.clip((s1 - d) // 2 + 1, 0, top)
+        b = np.clip(-((d - s2) // 2), 0, top)
+        j = np.minimum(np.arange(profiles.max()), profiles[:, None] - 1)
+        row = base[:, None] + j * (top + 1)[:, None]
+        moment = (profiles * (top + 1))[:, None]  # from a prefix sum to its first moment
+        Pa, Pb, Pt = store[row + a[:, None]], store[row + b[:, None]], store[row + top[:, None]]
+        Ca, Cb = store[row + moment + a[:, None]], store[row + moment + b[:, None]]
+        S = (Pt - Pb) - Pa + gamma * (2 * (Cb - Ca) + d[:, None] * (Pb - Pa))
+        out[r, 0] = S[:, 0]
+        out[r, 1:] = S[:, :1] - 2 * np.take_along_axis(S, inv[r] + 1, axis=1)
+    return out
 
 
 def _swing_table(w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
@@ -173,57 +299,34 @@ def _alternating(X: np.ndarray, n: int, c: int) -> np.ndarray:
     return out
 
 
-def _window_sums(w: np.ndarray, alpha, beta=None, gamma: float = 0.0, d: int = 0, table=None):
+def _window_sums(w: np.ndarray, ts, table=None):
     """(Psi, vals, inv): Psi[p, e, k, g] = sum_u G_g[k, u] phi_p(u + e*vals[g]).
 
     vals are the distinct weights and inv maps each voter to its column g.
-    phi_p is -1 below alpha[p], +1 from beta[p] and gamma*(2u + d) between.
-    Steps (beta = None) give integer Psi of the table's dtype, a linear
-    window float64.  A caller that scores w again may pass its
-    _swing_table(w) as table; only the edges move.
+    phi_p is the step -1 below ts[p] and +1 from it; Psi has the table's
+    dtype.  A caller that scores w again may pass its _swing_table(w) as
+    table; only the steps move.
     """
     P, off, vals, inv = _swing_table(w) if table is None else table
     n, width = w.size, P.shape[1] - 1
     r, m, _, _ = _diagonals(n)
-    # outside [lo, hi + 1] an edge changes no value phi takes on the table
-    a, b = (np.array([min(max(int(e), -off), width - off) + off for e in edges], dtype=np.int64)
-            for edges in (alpha, alpha if beta is None else beta))
-    linear = beta is not None and bool((a < b).any())
-    if linear:
-        d2 = int(d) - 2 * off  # 2u + d = 2c + d2 at column c
-        edge = max(np.abs(2 * a + d2).max(), np.abs(2 * b - 2 + d2).max())
-        if P.dtype != object and math.comb(n - 1, (n - 1) // 2) * int(edge) >= 1 << 63:
-            P = P.astype(object)
-        P1 = np.zeros_like(P)  # prefix sums of c * F[r, c]
-        np.cumsum(np.diff(P, axis=1) * np.arange(width), axis=1, out=P1[:, 1:])
-
+    # outside [lo, hi + 1] a step changes no value phi takes on the table
+    a = np.array([min(max(int(t), -off), width - off) + off for t in ts], dtype=np.int64)
     T, G, L = a.size, vals.size, r.size
-    ea, eb = np.repeat(a, G), np.repeat(b, G)
+    ea = np.repeat(a, G)
     wv = np.tile(vals, T)
     base = r * (width + 1)
-    rows = max(1, _GATHER_BYTES // (L * (96 if linear else 24)))
+    rows = max(1, _GATHER_BYTES // (L * 24))
     # V's row totals C(n, r) sum to Psi_0 = Psi_1 = C(n-1, k): phi = +1 throughout
     totals = np.array([math.comb(n - 1, k) for k in range(n)], dtype=P.dtype)
-    out = np.empty((T * G, 2, n), dtype=np.float64 if linear else P.dtype)
+    out = np.empty((T * G, 2, n), dtype=P.dtype)
     for q0 in range(0, T * G, rows):
         q = slice(q0, q0 + rows)
-        mw = np.multiply.outer(wv[q], m)
-
-        def gather(P, e):
-            c = e[q, None] - mw
-            np.maximum(c, 0, out=c)
-            np.minimum(c, width, out=c)
-            c += base
-            return P.ravel().take(c)
-
-        lo = gather(P, ea)
-        if not linear:
-            out[q] = totals + _alternating(lo, n, -2)
-            continue
-        hi = gather(P, eb)
-        J1 = 2 * (gather(P1, eb) - gather(P1, ea)) + (2 * mw + d2) * (hi - lo)
-        J0 = totals + _alternating(lo + hi, n, -1)
-        out[q] = np.asarray(J0, dtype=np.float64) + gamma * np.asarray(_alternating(J1, n, 1), dtype=np.float64)
+        c = ea[q, None] - np.multiply.outer(wv[q], m)
+        np.maximum(c, 0, out=c)
+        np.minimum(c, width, out=c)
+        c += base
+        out[q] = totals + _alternating(P.ravel().take(c), n, -2)
     return np.ascontiguousarray(out.reshape(T, G, 2, n).transpose(0, 2, 3, 1)), vals, inv
 
 

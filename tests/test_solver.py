@@ -5,6 +5,7 @@ import pytest
 
 from shapley_forge import solver
 from shapley_forge.boosting import (
+    BoostState,
     BoostTargets,
     boost,
     exact_dp_oracle,
@@ -23,8 +24,8 @@ from shapley_forge.solver import (
     SolveConfig,
     _exact_d_dp_batch,
     _GridEngine,
-    _oracle_refresh,
     _support_refresh,
+    _table_refresh,
     exhaustive_baseline,
     solve_is,
     solve_isbw,
@@ -40,6 +41,16 @@ def _realizable(rng, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dual route: the vectorized grid engine must replay the scalar loop
 # ---------------------------------------------------------------------------
+
+
+def _oracle_refresh(n: int, gamma: float, oracle):
+    """Dense refresh by one boosting-oracle call per row."""
+
+    def refresh(nets: np.ndarray) -> np.ndarray:
+        counts = (np.stack([np.maximum(net, 0), np.maximum(-net, 0)]) for net in nets)
+        return np.stack([oracle(BoostState(n, gamma, counts=c)) for c in counts])
+
+    return refresh
 
 
 def _dense_reference(n: int, A: np.ndarray, gamma: float, **kwargs) -> _GridEngine:
@@ -108,7 +119,7 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
 
     whole = run_engine()
     assert whole.dense.sum() >= 50
-    monkeypatch.setattr(solver, "_REFRESH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
+    monkeypatch.setattr(solver, "_REFRESH_ROWS", 3)
     chunked = run_engine()
     assert np.array_equal(chunked.net, whole.net)
     assert np.array_equal(chunked.t, whole.t)
@@ -117,23 +128,32 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
     assert np.abs(chunked.corr - whole.corr).max() <= 1e-5
 
 
-def test_engine_dp_backend_replays_scalar_boost(rng):
-    n, xi = 6, 0.05
+def _replay_scalar_dp_boost(rng, n: int) -> None:
+    """A one-row engine, dense from its first append, against scalar boost(exact_dp_oracle)."""
+    xi = 0.05
     a = _realizable(rng, n)
     scalar = boost(BoostTargets(a=a, xi=xi), exact_dp_oracle(n), stall_window=4096)
-    refresh = _oracle_refresh(n, xi / 2.0, exact_dp_oracle(n))
-    eng = _GridEngine(n, a[None, :], xi / 2.0, refresh, stall_window=4096)
+    eng = _GridEngine(n, a[None, :], xi / 2.0, _table_refresh(n, xi / 2.0), stall_window=4096)
     eng.lin_cap = -1  # every row dense from its first append
     eng.run()
     assert bool(eng.converged[0]) == scalar.converged
     assert int(eng.t[0]) == scalar.iterations
     assert np.array_equal(eng.net[0], scalar.state.net)
+    assert np.array_equal(eng.corr[0], scalar.correlations)
+
+
+def test_engine_dp_backend_replays_scalar_boost(rng):
+    _replay_scalar_dp_boost(rng, 6)
+
+
+def test_engine_dp_backend_replays_scalar_boost_above_the_support_cap(rng):
+    _replay_scalar_dp_boost(rng, 15)
 
 
 def test_engine_dp_backend_builds_nothing_of_size_2_to_the_n():
     n = 16
     A = np.stack([np.concatenate([[f0], np.full(n, 0.1)]) for f0 in (-0.5, 0.0, 0.5)])
-    eng = _GridEngine(n, A, 0.05, _oracle_refresh(n, 0.05, exact_dp_oracle(n)), stall_window=4096)
+    eng = _GridEngine(n, A, 0.05, _table_refresh(n, 0.05), stall_window=4096)
     eng.lin_cap = -1
     for _ in range(5):
         eng.step()
@@ -214,14 +234,13 @@ def test_dp_validation_reuses_the_tables_of_one_solve(n, rng, monkeypatch):
     built = []
     swing_table = solver._subsetdp._swing_table
     monkeypatch.setattr(solver._subsetdp, "_swing_table", lambda w: built.append(w.tobytes()) or swing_table(w))
-    tables = solver._SwingTables()
+    tables = solver._TableCache(solver._TABLE_CACHE_BYTES)
     got = _exact_d_dp_batch(first, target, tables).tolist() + _exact_d_dp_batch(later, target, tables).tolist()
     assert sorted(built) == sorted(w.tobytes() for w in W)  # each vector tabled once
     assert got == _one_by_one(first, target) + _one_by_one(later, target)
 
     # past the byte budget the oldest tables go first
-    monkeypatch.setattr(solver, "_TABLE_CACHE_BYTES", 1)
-    small = solver._SwingTables()
+    small = solver._TableCache(1)
     assert _exact_d_dp_batch(later, target, small).tolist() == got[len(first):]
     assert list(small) == [W[3].tobytes()]
 

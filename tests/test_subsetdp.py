@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import reference as ref
-from shapley_forge import _subsetdp
+from shapley_forge import _subsetdp, solver
 from shapley_forge._subsetdp import classical_pivot_dp, leave_one_out, subset_count_table
+from shapley_forge.boosting import BoostState, exact_dp_oracle
 from shapley_forge.mu import mu_pmf
 
 
@@ -64,24 +65,17 @@ def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
     # steps inside the table, at its edges, beyond them and past int64
     ts = [17, -total - 2, -total, 0, total, total + 9, -(10**30), 10**30]
     ts += rng.integers(-total, total + 1, size=40).tolist()
-    # clipped profiles: windows inside, straddling an edge, beyond the table
-    alphas = [-30, -total - 5, total - 3, -(10**30), 5, 40]
-    betas = [25, -total + 4, total + 8, 10**30, 5, 12]
     G = np.unique(w).size
 
-    def sums():
-        return _subsetdp._window_sums(w, ts)[0], _subsetdp._window_sums(w, alphas, betas, 0.01, 7)[0]
-
-    steps, clipped = sums()
+    steps = _subsetdp._window_sums(w, ts)[0]
     assert steps.shape == (len(ts), 2, 41, G) and steps.dtype == np.int64
-    assert clipped.shape == (len(alphas), 2, 41, G) and clipped.dtype == np.float64
     for t, S in zip(ts, steps):
         assert np.array_equal(_subsetdp._window_sums(w, [t])[0][0], S)
-    cells = 41 * 44 // 2  # cells read per (profile, weight) row
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 96 * cells * 5)  # 5 clipped rows a block
-    assert all(np.array_equal(x, y) for x, y in zip(sums(), (steps, clipped)))
+    cells = 41 * 44 // 2  # cells read per (step, weight) row
+    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 24 * cells * 5)  # 5 rows a block
+    assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
     monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # one row per block
-    assert all(np.array_equal(x, y) for x, y in zip(sums(), (steps, clipped)))
+    assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
 
 
 def _per_voter_correlations(w, c0, gamma, pmf):
@@ -127,3 +121,69 @@ def test_correlations_match_per_voter_sums_past_int64(n, rng):
         got = _subsetdp.mu_correlations_affine(w, c0, gamma, pmf)
         want = _per_voter_correlations(w, c0, gamma, pmf)
         assert np.allclose(got, want, rtol=0, atol=1e-12), (gamma, c0)
+
+
+def _rows_with_every_window(rng, n: int, height: int) -> np.ndarray:
+    """Dense-refresh rows at gamma = 1/height, covering every kind of window.
+
+    A narrow voter net (sum |w| < height) gets windows that clip on neither
+    side, on either one and beyond the table; a wide one (sum |w| > 2
+    height) windows that clip on both sides, on either one, and beyond.
+    Each net also comes back with its voters permuted, and the all-zero net
+    with three thresholds.
+    """
+    narrow = rng.integers(-1, 2, size=n)
+    wide = rng.choice([-7, -5, -3, 3, 4, 6, 7], size=n)
+    rows = []
+    for w, c0s in ((narrow, (0, height, -height, 3 * height)),
+                   (wide, (0, int(np.abs(wide).sum()), -int(np.abs(wide).sum()), 9 * n + height))):
+        for c0 in c0s:
+            rows += [[c0, *w], [c0 + 1, *w], [c0, *rng.permutation(w)]]
+    rows += [[c0] + [0] * n for c0 in (0, height // 2, -3 * height)]
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, 15, 20, 40, 63, 70])
+def test_table_refresh_matches_the_dp_oracle_and_per_voter_sums(n, rng, monkeypatch):
+    height = 2 * n + 2
+    gamma = 1.0 / height
+    nets = _rows_with_every_window(rng, n, height)
+    got = solver._table_refresh(n, gamma)(nets)
+    # one row in the engine gives the DP oracle's floats, bit for bit
+    oracle = exact_dp_oracle(n)
+    for net, row in zip(nets, got):
+        counts = np.stack([np.maximum(net, 0), np.maximum(-net, 0)])
+        assert np.array_equal(oracle(BoostState(n, gamma, counts=counts)), row)
+    # and is within 1e-12 of the exact per-voter sums
+    pmf = np.array([mu_pmf(n, k) for k in range(n + 1)])
+    for net, row in [*zip(nets[::3], got[::3]), *zip(nets[2::3], got[2::3])]:
+        want = _per_voter_correlations([int(v) for v in net[1:]], int(net[0]), gamma, pmf)
+        assert np.allclose(row, want, rtol=0, atol=1e-12), net
+    # tables built one at a time, one job per block, and none kept
+    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 1)
+    monkeypatch.setattr(solver, "_BUILD_BYTES", 1)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)
+    refresh = solver._table_refresh(n, gamma)
+    assert np.array_equal(refresh(nets), got)
+    assert np.array_equal(refresh(nets[::-1]), got[::-1])
+
+
+def test_table_refresh_reads_kept_tables_as_built(monkeypatch, rng):
+    # rounds of nets that come back, through a cache that holds a few
+    # tables: its ring wraps many times, and every round must equal a
+    # refresh that keeps nothing
+    n, gamma = 9, 0.02
+    pool = [rng.integers(-6, 7, size=n) for _ in range(12)]
+    rounds = [np.array([[int(rng.integers(-30, 31)), *pool[int(rng.integers(len(pool)))]] for _ in range(8)])
+              for _ in range(40)]
+    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 1)
+    want = [solver._table_refresh(n, gamma)(nets) for nets in rounds]
+    largest = max(16 * (np.unique(w).size + 1) * (int(np.abs(w).sum()) + 2) for w in pool)
+    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 4 * largest)  # 4 to 8 tables
+    kept = []
+    cache_add = solver._TableCache.add
+    monkeypatch.setattr(solver._TableCache, "add", lambda self, *a: kept.append(a[0]) or cache_add(self, *a))
+    refresh = solver._table_refresh(n, gamma)
+    for nets, expect in zip(rounds, want):
+        assert np.array_equal(refresh(nets), expect)
+    assert len(kept) > 3 * len(pool)  # tables were evicted and kept again
