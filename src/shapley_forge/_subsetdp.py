@@ -42,10 +42,8 @@ _FLOAT_EXACT_N = 56
 _TABLE_BYTES = 256 << 20
 # bytes of the (profile, weight, cell) gathers of one block of _window_sums
 _GATHER_BYTES = 32 << 20
-# bytes of one block of the clip-table recurrence (about 6 arrays) and of
-# the row gathers: small enough to stay in cache, which makes the
-# recurrence 1.3x faster than one block per batch
-_BLOCK_BYTES = 1 << 20
+# bytes of the (row, profile) gathers of one block of _clip_correlations
+_CLIP_GATHER_BYTES = 1 << 20
 
 
 def _int_weights(weights) -> np.ndarray:
@@ -170,17 +168,13 @@ def _clip_tables(srt: np.ndarray, pmf_point: np.ndarray) -> tuple[np.ndarray, np
     # R_0 job reads only that column, so its G[k] is F[k]
     col = np.arange(width) - srt[net, pos - 1][:, None]
     col[(col < 0) | (col >= width) | (pos == 0)[:, None]] = width
+    col += (width + 1) * np.arange(J)[:, None]
+    G = np.zeros((J, width + 1), dtype=dtype)
+    Gk = G[:, :width]
     X = np.zeros((J, width))
-    # the recurrence runs over blocks of jobs whose arrays stay in cache
-    blk = max(1, _BLOCK_BYTES // (48 * width))
-    for lo in range(0, J, blk):
-        nb = min(blk, J - lo)
-        at = col[lo : lo + nb] + (width + 1) * np.arange(nb)[:, None]
-        G = np.zeros((nb, width + 1), dtype=dtype)
-        Gk, Xb, jn = G[:, :width], X[lo : lo + nb], net[lo : lo + nb]
-        for k in range(n + 1):  # G_g[n] is 0, exactly
-            np.subtract(F[k].take(jn, axis=0), G.ravel().take(at), out=Gk)
-            Xb += pmf_point[k] * (Gk if dtype == np.float64 else Gk.astype(np.float64))
+    for k in range(n + 1):  # G_g[n] is 0, exactly
+        np.subtract(F[k].take(net, axis=0), G.ravel().take(col), out=Gk)
+        X += pmf_point[k] * (Gk if dtype == np.float64 else Gk.astype(np.float64))
     Q = np.zeros((2, J, width + 1))
     np.cumsum(X, axis=1, out=Q[0, :, 1:])
     X *= np.arange(width)
@@ -231,8 +225,7 @@ def _clip_correlations(store, tables, c0, inv, gamma: float) -> np.ndarray:
     s1, s2 = _clip_edges(gamma)
     c0 = np.asarray(c0, dtype=np.int64)
     out = np.empty((len(tables), inv.shape[1] + 1))
-    # rows go in blocks of about _BLOCK_BYTES of gathers
-    step = max(1, _BLOCK_BYTES // (96 * int(tables[:, 1].max())))
+    step = max(1, _CLIP_GATHER_BYTES // (96 * int(tables[:, 1].max())))
     for lo in range(0, len(tables), step):
         r = slice(lo, lo + step)
         base, profiles, top = tables[r].T

@@ -12,10 +12,9 @@ and in both oracle modes.  A row's integer net is its whole state.  Rows stay
 in a closed-form "linear" regime while their running sums provably never
 clip, and move one-way into a dense regime whose correlations are recomputed
 from the net after every append by one refresh callable: from the support
-table up to n = 13, and above it from one clip table per distinct sorted
-voter net, shared by the round's rows that carry it and kept for the next
-rounds within a byte budget (see _subsetdp).  Both are exact, so the
-boosting oracle never samples.
+table up to n = 12, and above it from one clip table per distinct sorted
+voter net, shared by the round's rows that carry it (see _subsetdp).  Both
+are exact, so the boosting oracle never samples.
 
 In the linear regime an append moves either corr_0 or the voter
 correlations, never both, and every row of a grid column (one mean_corr)
@@ -60,18 +59,18 @@ from .indices import (
 from .mu import enumerate_cube, enumerate_support, lambda_n, mu_pmf, mu_weights, pair_correlation
 
 ORACLE_MODES = ("exact-enum", "exact-dp")
-# largest n whose dense refresh uses the support table; above it the clip
-# tables are faster at xi = 0.02 and 0.005 (at n = 12 and 13 they are 2-4x
-# slower at xi = 0.005, where sum |w| is larger)
-_ENUM_CAP = 13
+# largest n whose dense refresh uses the support table: the largest n at
+# which it is faster than the clip tables over whole dense solves at both
+# xi = 0.02 and 0.005 (at n = 13 the tables win at xi = 0.02 and lose at
+# 0.005, where sum |w| is larger)
+_ENUM_CAP = 12
 # rounds between two validations of the rows that finished in between
 _CHECK_EVERY = 64
 # bytes of the (rows x 2^n) score matrix in one enumeration batch
 _ENUM_BATCH_BYTES = 64 << 20
-# rows of the float32 (rows x 2^n) score matrix in one support-refresh
-# chunk (4 MiB at n = 12): larger chunks spill the cache, and chunks of
-# several MiB grow a heap that the allocator does not give back
-_REFRESH_ROWS = 256
+# bytes of the float32 (rows x 2^n) score matrix in one support-refresh
+# chunk; 16 MiB chunks grow a heap that the allocator does not give back
+_REFRESH_BYTES = 4 << 20
 # bytes of the recorded column walks; caps the linear prefix's length
 _WALK_BYTES = 16 << 20
 # bytes of one block of walk states when the prefix is replayed
@@ -82,9 +81,7 @@ _GRID_ARRAYS = 6
 _GRID_BYTES = 512 << 20
 # bytes of subset-table prefix sums one exact-DP solve keeps for reuse
 _TABLE_CACHE_BYTES = 4 << 20
-# bytes of clip tables one solve keeps for its dense refresh, and of the
-# working arrays of one batch of new ones
-_CLIP_CACHE_BYTES = 1 << 20
+# bytes of the working arrays of one batch of clip tables
 _BUILD_BYTES = 1 << 20
 
 
@@ -562,7 +559,7 @@ def _support_refresh(n: int, gamma: float):
     g32 = np.float32(gamma)
 
     def refresh(nets: np.ndarray) -> np.ndarray:
-        chunk = _REFRESH_ROWS
+        chunk = max(1, _REFRESH_BYTES // (4 * support.shape[0]))
         out = np.empty(nets.shape)
         for s in range(0, len(nets), chunk):
             H = nets[s : s + chunk].astype(np.float32) @ XT
@@ -580,31 +577,10 @@ def _table_refresh(n: int, gamma: float):
     A table depends on the voter net only up to order (_subsetdp), so a
     round's dense rows are grouped by their sorted voter net, and each row
     reads its correlations from its group's table at its own net_0.  The
-    tables come from the solve's cache, within _CLIP_CACHE_BYTES, or are
-    built together, narrowest first, in batches of about _BUILD_BYTES of
-    working arrays.  A row whose last append was on slot 0 keeps its table.
+    round's tables are built together, narrowest first, in batches of
+    about _BUILD_BYTES of working arrays.
     """
     pmf = np.array([mu_pmf(n, k) for k in range(n + 1)])
-    cache = _TableCache(_CLIP_CACHE_BYTES)
-    # Kept tables are copied into one ring of twice the budget, allocated
-    # once, so that no table pins heap memory amid a round's own arrays
-    # (that raised solve-small peak RSS by a few MB).  A kept table takes
-    # at most a quarter of the budget: the live ones (at most the budget),
-    # two wrap gaps and the new one then fit the ring without overlap.
-    ring = np.empty(_CLIP_CACHE_BYTES // 4)
-    head = 0
-
-    def keep(key: bytes, store: np.ndarray, table: np.ndarray) -> None:
-        nonlocal head
-        base, profiles, columns = table.tolist()
-        size = 2 * profiles * (columns + 1)
-        if 32 * size > _CLIP_CACHE_BYTES:
-            return
-        if head + size > ring.size:
-            head = 0
-        ring[head : head + size] = store[base : base + size]
-        cache.add(key, np.array([head, profiles, columns]), 8 * size)
-        head += size
 
     def refresh(nets: np.ndarray) -> np.ndarray:
         srt, inv = _subsetdp.voter_ranks(nets[:, 1:])
@@ -612,38 +588,28 @@ def _table_refresh(n: int, gamma: float):
         grp = np.array([groups.setdefault(s.tobytes(), len(groups)) for s in srt])
         first = np.empty(len(groups), dtype=np.intp)
         first[grp[::-1]] = np.arange(grp.size)[::-1]  # each group's first row
-        srt, keys = srt[first], list(groups)
+        srt = srt[first]
         out = np.empty((len(nets), n + 1))
 
-        def serve(batch: list[int], store: np.ndarray, tables: np.ndarray) -> None:
-            at = np.full(len(keys), -1)
+        def build(batch: list[int]) -> None:
+            store, tables = _subsetdp._clip_tables(srt[batch], pmf)
+            at = np.full(len(srt), -1)
             at[batch] = np.arange(len(batch))
             rows = np.flatnonzero(at[grp] >= 0)
             out[rows] = _subsetdp._clip_correlations(store, tables[at[grp[rows]]], nets[rows, 0], inv[rows], gamma)
 
-        def build(batch: list[int]) -> None:
-            store, tables = _subsetdp._clip_tables(srt[batch], pmf)
-            serve(batch, store, tables)
-            for g, table in zip(batch, tables):
-                keep(keys[g], store, table)
-
-        cached = [cache.table(key) for key in keys]
-        hit = [g for g, table in enumerate(cached) if table is not None]
-        if hit:
-            serve(hit, ring, np.array([cached[g] for g in hit]))
-        # 8-byte rows of working arrays per new table, at its batch's width
+        # 8-byte rows of working arrays per table, at its batch's width
         width = np.abs(srt).sum(axis=1) + 2
         per = n + 1 + 8 * (2 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1))
         batch: list[int] = []
         size = 0
-        for g in sorted((g for g, table in enumerate(cached) if table is None), key=width.__getitem__):
+        for g in np.argsort(width, kind="stable").tolist():
             if batch and 8 * width[g] * (size + per[g]) > _BUILD_BYTES:
                 build(batch)
                 batch, size = [], 0
             batch.append(g)
             size += per[g]
-        if batch:
-            build(batch)
+        build(batch)
         return out
 
     return refresh
@@ -713,31 +679,35 @@ def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndar
     return np.concatenate([dist(nets[s : s + chunk]) for s in range(0, len(nets), chunk)])
 
 
-class _TableCache(dict):
-    """Tables one solve has built, by weight-vector bytes, each with its size.
+class _SwingTables(dict):
+    """The _subsetdp swing tables one solve has built, by weight-vector bytes.
 
-    A weight vector comes back at later checkpoints and in later rounds.
-    Past the byte budget the oldest tables are dropped.
+    A grid column's finished rows share one weight vector and come back at
+    several checkpoints.  Past _TABLE_CACHE_BYTES of prefix sums the oldest
+    tables are dropped (an object-dtype cell counts 48 bytes).
     """
 
-    def __init__(self, budget: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.budget = budget
         self.nbytes = 0
 
-    def table(self, key: bytes):
-        entry = self.get(key)
-        return None if entry is None else entry[0]
+    def get_or_build(self, key: bytes, w: np.ndarray):
+        table = self.get(key)
+        if table is None:
+            table = self[key] = _subsetdp._swing_table(w)
+            self.nbytes += self._cost(table)
+            while self.nbytes > _TABLE_CACHE_BYTES and len(self) > 1:
+                self.nbytes -= self._cost(self.pop(next(iter(self))))
+        return table
 
-    def add(self, key: bytes, table, nbytes: int) -> None:
-        self[key] = (table, nbytes)
-        self.nbytes += nbytes
-        while self.nbytes > self.budget and len(self) > 1:
-            self.nbytes -= self.pop(next(iter(self)))[1]
+    @staticmethod
+    def _cost(table) -> int:
+        P = table[0]
+        return P.size * (48 if P.dtype == object else P.itemsize)
 
 
 def _exact_d_dp_batch(
-    nets: np.ndarray, target: np.ndarray, tables: _TableCache | None = None
+    nets: np.ndarray, target: np.ndarray, tables: _SwingTables | None = None
 ) -> np.ndarray:
     """Exact index distance for many candidates at once, by subset DP.
 
@@ -748,7 +718,7 @@ def _exact_d_dp_batch(
     for bit.
     """
     if tables is None:
-        tables = _TableCache(_TABLE_CACHE_BYTES)
+        tables = _SwingTables()
     groups: dict[bytes, list[int]] = {}
     for i, net in enumerate(nets):
         groups.setdefault(net[1:].tobytes(), []).append(i)
@@ -758,12 +728,7 @@ def _exact_d_dp_batch(
         total = sum(w.tolist())
         # net_0 + w.x = net_0 + 2u - total >= 0 iff u >= t, as in shapley_affine
         ts = [-((int(nets[i, 0]) - total) // 2) for i in rows]
-        table = tables.table(key)
-        if table is None:
-            table = _subsetdp._swing_table(w)
-            P = table[0]  # an object-dtype cell counts 48 bytes
-            tables.add(key, table, P.size * (48 if P.dtype == object else P.itemsize))
-        Psi, _, inv = _subsetdp._window_sums(w, ts, table=table)
+        Psi, _, inv = _subsetdp._window_sums(w, ts, table=tables.get_or_build(key, w))
         for i, index in zip(rows, _subsetdp._step_indices(Psi)):
             ds[i] = d_shapley(index[inv], target)
     return ds
@@ -849,7 +814,7 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int,
     refresh = _table_refresh(n, gamma) if n > _ENUM_CAP else _support_refresh(n, gamma)
     engine = _GridEngine(n, A, gamma, refresh, stall_window=cfg.stall_window, cap=cap)
     d = np.full(A.shape[0], np.inf)
-    tables = _TableCache(_TABLE_CACHE_BYTES)  # freed when the solve returns
+    tables = _SwingTables()  # freed when the solve returns
 
     def checkpoint(finished: list[int]) -> bool:
         nets = engine.net[finished]

@@ -119,7 +119,7 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
 
     whole = run_engine()
     assert whole.dense.sum() >= 50
-    monkeypatch.setattr(solver, "_REFRESH_ROWS", 3)
+    monkeypatch.setattr(solver, "_REFRESH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
     chunked = run_engine()
     assert np.array_equal(chunked.net, whole.net)
     assert np.array_equal(chunked.t, whole.t)
@@ -234,13 +234,14 @@ def test_dp_validation_reuses_the_tables_of_one_solve(n, rng, monkeypatch):
     built = []
     swing_table = solver._subsetdp._swing_table
     monkeypatch.setattr(solver._subsetdp, "_swing_table", lambda w: built.append(w.tobytes()) or swing_table(w))
-    tables = solver._TableCache(solver._TABLE_CACHE_BYTES)
+    tables = solver._SwingTables()
     got = _exact_d_dp_batch(first, target, tables).tolist() + _exact_d_dp_batch(later, target, tables).tolist()
     assert sorted(built) == sorted(w.tobytes() for w in W)  # each vector tabled once
     assert got == _one_by_one(first, target) + _one_by_one(later, target)
 
     # past the byte budget the oldest tables go first
-    small = solver._TableCache(1)
+    monkeypatch.setattr(solver, "_TABLE_CACHE_BYTES", 1)
+    small = solver._SwingTables()
     assert _exact_d_dp_batch(later, target, small).tolist() == got[len(first):]
     assert list(small) == [W[3].tobytes()]
 

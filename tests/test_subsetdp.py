@@ -159,31 +159,9 @@ def test_table_refresh_matches_the_dp_oracle_and_per_voter_sums(n, rng, monkeypa
     for net, row in [*zip(nets[::3], got[::3]), *zip(nets[2::3], got[2::3])]:
         want = _per_voter_correlations([int(v) for v in net[1:]], int(net[0]), gamma, pmf)
         assert np.allclose(row, want, rtol=0, atol=1e-12), net
-    # tables built one at a time, one job per block, and none kept
-    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 1)
+    # tables built one at a time and read one row per gather block
     monkeypatch.setattr(solver, "_BUILD_BYTES", 1)
-    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(_subsetdp, "_CLIP_GATHER_BYTES", 1)
     refresh = solver._table_refresh(n, gamma)
     assert np.array_equal(refresh(nets), got)
     assert np.array_equal(refresh(nets[::-1]), got[::-1])
-
-
-def test_table_refresh_reads_kept_tables_as_built(monkeypatch, rng):
-    # rounds of nets that come back, through a cache that holds a few
-    # tables: its ring wraps many times, and every round must equal a
-    # refresh that keeps nothing
-    n, gamma = 9, 0.02
-    pool = [rng.integers(-6, 7, size=n) for _ in range(12)]
-    rounds = [np.array([[int(rng.integers(-30, 31)), *pool[int(rng.integers(len(pool)))]] for _ in range(8)])
-              for _ in range(40)]
-    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 1)
-    want = [solver._table_refresh(n, gamma)(nets) for nets in rounds]
-    largest = max(16 * (np.unique(w).size + 1) * (int(np.abs(w).sum()) + 2) for w in pool)
-    monkeypatch.setattr(solver, "_CLIP_CACHE_BYTES", 4 * largest)  # 4 to 8 tables
-    kept = []
-    cache_add = solver._TableCache.add
-    monkeypatch.setattr(solver._TableCache, "add", lambda self, *a: kept.append(a[0]) or cache_add(self, *a))
-    refresh = solver._table_refresh(n, gamma)
-    for nets, expect in zip(rounds, want):
-        assert np.array_equal(refresh(nets), expect)
-    assert len(kept) > 3 * len(pool)  # tables were evicted and kept again
