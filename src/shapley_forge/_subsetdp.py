@@ -23,8 +23,8 @@ linear, then +1 in the +1 set's sum.  A clip table per weight vector
 per distinct weight g, L_g = sum_k pmf(k) G_g[k], with G_g formed exactly
 by a recurrence in k before any weighting.  From their prefix sums and
 first moments, E[h] = sum_u R_0 phi and E[h x_i] = E[h] - 2 sum_u L_g phi
-are a few lookups for each c0, so the dense rows of a solve that share a
-weight vector share one table (_clip_correlations).
+are a few lookups for each c0, so the rows of a batch that share a weight
+vector up to order share one table (mu_correlations_nets).
 """
 
 from __future__ import annotations
@@ -40,10 +40,11 @@ _INT64_MAX_N = 62
 _FLOAT_EXACT_N = 56
 # budget of one (n+1) x width count table, at 8 bytes a cell
 _TABLE_BYTES = 256 << 20
-# bytes of the (profile, weight, cell) gathers of one block of _window_sums
-_GATHER_BYTES = 32 << 20
-# bytes of the (row, profile) gathers of one block of _clip_correlations
-_CLIP_GATHER_BYTES = 1 << 20
+# bytes of the temporary arrays of one block of a blocked loop, here and in
+# the solver; each loop reads it at call time and sizes its blocks by its own
+# bytes per item.  Larger blocks are no faster, and 16 MiB ones grow a heap
+# that the allocator does not give back
+_BLOCK_BYTES = 4 << 20
 
 
 def _int_weights(weights) -> np.ndarray:
@@ -111,43 +112,73 @@ def mu_correlations_affine(weights, c0: int, gamma: float, pmf_point: np.ndarray
     """Correlations (E[h], E[h x_1], ..., E[h x_n]) of h(x) = clip(gamma (w.x + c0), -1, 1).
 
     pmf_point[k] is the probability of one specific point of Hamming weight k.
-    One row of _clip_correlations on its own table.
+    One row of mu_correlations_nets.
     """
     w = _int_weights(weights)
-    srt, inv = voter_ranks(w[None, :])
-    store, tables = _clip_tables(srt, pmf_point)
-    return _clip_correlations(store, tables, np.array([c0], dtype=np.int64), inv, gamma)[0]
+    return mu_correlations_nets(np.array([[c0, *w.tolist()]], dtype=np.int64), gamma, pmf_point)[0]
 
 
-def voter_ranks(ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted ws, inv): each row sorted, and each voter's rank among its row's distinct weights.
+def mu_correlations_nets(nets: np.ndarray, gamma: float, pmf_point: np.ndarray) -> np.ndarray:
+    """mu_correlations_affine of (net[1:], net[0]) for each int64 row of nets.
 
-    A subset table does not depend on voter order, so rows that sort alike
-    share one; inv maps voter i of a row to its distinct weight's profile.
+    A clip table does not depend on voter order, so the rows are grouped by
+    their sorted voter net, one table is built per group, and each row reads
+    its correlations from its group's table at its own net_0; inv maps each
+    voter of a row to its rank among the row's distinct weights.  The tables
+    are built together, narrowest first, in batches whose _clip_tables
+    arrays stay within about _BLOCK_BYTES.
     """
-    order = np.argsort(ws, axis=1, kind="stable")
-    srt = np.take_along_axis(ws, order, axis=1)
+    n = nets.shape[1] - 1
+    order = np.argsort(nets[:, 1:], axis=1, kind="stable")
+    srt = np.take_along_axis(nets[:, 1:], order, axis=1)
     new = np.ones(srt.shape, dtype=bool)
     new[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    rank = np.cumsum(new, axis=1)  # the last column counts a row's distinct weights
     inv = np.empty(srt.shape, dtype=np.intp)
-    np.put_along_axis(inv, order, np.cumsum(new, axis=1) - 1, axis=1)
-    return srt, inv
+    np.put_along_axis(inv, order, rank - 1, axis=1)
+    groups: dict[bytes, int] = {}
+    grp = np.array([groups.setdefault(s.tobytes(), len(groups)) for s in srt])
+    first = np.empty(len(groups), dtype=np.intp)
+    first[grp[::-1]] = np.arange(grp.size)[::-1]  # each group's first row
+    srt = srt[first]
+    out = np.empty((len(nets), n + 1))
+
+    def build(batch: list[int]) -> None:
+        Q, start = _clip_tables(srt[batch], pmf_point)
+        job = np.full(len(srt), -1)
+        job[batch] = start
+        rows = np.flatnonzero(job[grp] >= 0)
+        out[rows] = _clip_correlations(Q, job[grp[rows]], nets[rows], inv[rows], gamma)
+
+    # 8-byte rows of _clip_tables arrays per table, at its batch's width: n + 1
+    # of F, and 8 per job (its R_0 and one L_g per distinct weight)
+    width = np.abs(srt).sum(axis=1) + 2
+    per = n + 1 + 8 * (1 + rank[first, -1])
+    batch: list[int] = []
+    size = 0
+    for g in np.argsort(width, kind="stable").tolist():
+        if batch and 8 * width[g] * (size + per[g]) > _BLOCK_BYTES:
+            build(batch)
+            batch, size = [], 0
+        batch.append(g)
+        size += per[g]
+    build(batch)
+    return out
 
 
 def _clip_tables(srt: np.ndarray, pmf_point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(store, tables): the clip tables of the sorted weight vectors srt, built together.
+    """(Q, start): the clip tables of the sorted weight vectors srt, built together.
 
     The table of a row holds, over the columns c = u + off of its subset
     table F, the pmf-weighted counts R_0 = sum_k pmf(k) F[k] and, for each
     distinct weight g, L_g = sum_k pmf(k) G_g[k], where G_g counts the
     subsets of the voters other than one of weight g.  G_g[k] = F[k] -
     G_g[k-1] shifted by g runs in F's exact dtype, and only then is it
-    weighted, so every weighted term is non-negative.  Row m's table sits
-    in the 1-d store from tables[m] = (base, profiles, columns) on: the
-    row prefix sums of its profiles (R_0, L_g...), a (profiles, columns +
-    1) block, then those of c times them.  Rows are padded to one width,
-    and every sum runs element by element in a fixed order, so a table
-    does not depend on the rows built with it.
+    weighted, so every weighted term is non-negative.  Each profile is a
+    job: row m's R_0 is job start[m], and its L_g follow in weight order.
+    Q[0, j] holds the row prefix sums of job j's profile and Q[1, j] those
+    of c times it, padded to one width.  Every sum runs element by element
+    in a fixed order, so a table does not depend on the rows built with it.
     """
     M, n = srt.shape
     tabs = [subset_count_table(w)[0] for w in srt]
@@ -179,15 +210,7 @@ def _clip_tables(srt: np.ndarray, pmf_point: np.ndarray) -> tuple[np.ndarray, np
     np.cumsum(X, axis=1, out=Q[0, :, 1:])
     X *= np.arange(width)
     np.cumsum(X, axis=1, out=Q[1, :, 1:])
-    start = np.flatnonzero(pos == 0)
-    profiles = np.diff(start, append=J)
-    columns = np.abs(srt).sum(axis=1) + 1
-    size = 2 * profiles * (columns + 1)
-    base = np.cumsum(size) - size
-    store = np.empty(int(size.sum()))
-    for j, p, c, b in zip(start.tolist(), profiles.tolist(), columns.tolist(), base.tolist()):
-        store[b : b + 2 * p * (c + 1)].reshape(2, p, c + 1)[...] = Q[:, j : j + p, : c + 1]
-    return store, np.stack([base, profiles, columns], axis=1)
+    return Q, np.flatnonzero(pos == 0)
 
 
 def _clip_edges(gamma: float) -> tuple[int, int]:
@@ -212,34 +235,34 @@ def _clip_edges(gamma: float) -> tuple[int, int]:
     return s1, s2
 
 
-def _clip_correlations(store, tables, c0, inv, gamma: float) -> np.ndarray:
-    """Correlations of clip(gamma (w.x + c0[r])) for each row r, read from its table.
+def _clip_correlations(Q, start, nets, inv, gamma: float) -> np.ndarray:
+    """Correlations of clip(gamma (net[1:].x + net_0)) for each row of nets, read from its table.
 
-    tables[r] places row r's table in the store (_clip_tables), and inv[r]
-    maps its voters to the table's distinct weights (voter_ranks).  At
-    column c of a table, w.x + c0 = 2c + d with d = c0 - sum|w|, so the
-    profile is -1 on columns below a, +1 from b and gamma (2c + d) between:
-    each profile sum is six lookups into a table's prefix sums.  Slot 0 is
-    the R_0 sum S_0, and voter slot i is S_0 - 2 S_g for its weight g.
+    start[r] is the R_0 job of row r's table in Q (_clip_tables), and inv[r]
+    maps its voters to the table's distinct weights, whose jobs follow.  At
+    column c of a table, w.x + net_0 = 2c + d with d = net_0 - sum|w|, so
+    the profile is -1 on columns below a, +1 from b and gamma (2c + d)
+    between: each profile sum is six lookups into a table's prefix sums.
+    Slot 0 is the R_0 sum S_0, and voter slot i is S_0 - 2 S_g for its
+    weight g.
     """
     s1, s2 = _clip_edges(gamma)
-    c0 = np.asarray(c0, dtype=np.int64)
-    out = np.empty((len(tables), inv.shape[1] + 1))
-    step = max(1, _CLIP_GATHER_BYTES // (96 * int(tables[:, 1].max())))
-    for lo in range(0, len(tables), step):
+    top = np.abs(nets[:, 1:]).sum(axis=1) + 1  # columns of each row's table
+    d = nets[:, 0] - (top - 1)
+    a = np.clip((s1 - d) // 2 + 1, 0, top)[:, None]
+    b = np.clip(-((d - s2) // 2), 0, top)[:, None]
+    job = start[:, None] + np.pad(inv + 1, ((0, 0), (1, 0)))  # R_0, then each voter's L_g
+    P, C = Q
+    out = np.empty(nets.shape)
+    step = max(1, _BLOCK_BYTES // (96 * nets.shape[1]))
+    for lo in range(0, len(nets), step):
         r = slice(lo, lo + step)
-        base, profiles, top = tables[r].T
-        d = c0[r] - (top - 1)
-        a = np.clip((s1 - d) // 2 + 1, 0, top)
-        b = np.clip(-((d - s2) // 2), 0, top)
-        j = np.minimum(np.arange(profiles.max()), profiles[:, None] - 1)
-        row = base[:, None] + j * (top + 1)[:, None]
-        moment = (profiles * (top + 1))[:, None]  # from a prefix sum to its first moment
-        Pa, Pb, Pt = store[row + a[:, None]], store[row + b[:, None]], store[row + top[:, None]]
-        Ca, Cb = store[row + moment + a[:, None]], store[row + moment + b[:, None]]
-        S = (Pt - Pb) - Pa + gamma * (2 * (Cb - Ca) + d[:, None] * (Pb - Pa))
+        j = job[r]
+        Pa, Pb, Pt = P[j, a[r]], P[j, b[r]], P[j, top[r, None]]
+        Ca, Cb = C[j, a[r]], C[j, b[r]]
+        S = (Pt - Pb) - Pa + gamma * (2 * (Cb - Ca) + d[r, None] * (Pb - Pa))
         out[r, 0] = S[:, 0]
-        out[r, 1:] = S[:, :1] - 2 * np.take_along_axis(S, inv[r] + 1, axis=1)
+        out[r, 1:] = S[:, :1] - 2 * S[:, 1:]
     return out
 
 
@@ -309,7 +332,7 @@ def _window_sums(w: np.ndarray, ts, table=None):
     ea = np.repeat(a, G)
     wv = np.tile(vals, T)
     base = r * (width + 1)
-    rows = max(1, _GATHER_BYTES // (L * 24))
+    rows = max(1, _BLOCK_BYTES // (L * 24))
     # V's row totals C(n, r) sum to Psi_0 = Psi_1 = C(n-1, k): phi = +1 throughout
     totals = np.array([math.comb(n - 1, k) for k in range(n)], dtype=P.dtype)
     out = np.empty((T * G, 2, n), dtype=P.dtype)

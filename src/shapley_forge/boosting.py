@@ -19,7 +19,7 @@ import numpy as np
 from . import _subsetdp
 from .estimators import EstimateConfig, estimate_correlations
 from .games import LinearBoundedFunction, VotingGame, lbf_fn
-from .mu import enumerate_support, mu_pmf, mu_weights
+from .mu import enumerate_support, mu_pmf_points, mu_weights
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def exact_dp_oracle(n: int):
     One subset table of w = net[1:] per call: the clipped form is read off
     its row prefix sums and first moments, with no per-voter table.
     """
-    pmf_point = np.array([mu_pmf(n, k) for k in range(n + 1)])
+    pmf_point = mu_pmf_points(n)
 
     def oracle(state: BoostState) -> np.ndarray:
         net = state.net

@@ -262,13 +262,12 @@ def _cmd_solve(args, bounded: bool) -> int:
             xi=args.xi,
             grid_step=args.grid,
             oracle_mode=_ORACLE_FLAGS[args.oracle],
-            weight_bound=getattr(args, "weight_bound", None),
         )
     except ValueError as exc:
         _die(str(exc))
     try:
         if bounded:
-            res = solve_isbw(np.asarray(target), cfg)
+            res = solve_isbw(np.asarray(target), args.weight_bound, cfg)
         else:
             res = solve_is(np.asarray(target), cfg)
     except ValueError as exc:
@@ -290,12 +289,14 @@ def _cmd_solve(args, bounded: bool) -> int:
 def _cmd_sample_mu(args) -> int:
     import numpy as np
 
-    from .mu import mu_distribution, sample_mu_batch
+    from .mu import check_samples, mu_distribution, sample_mu_batch
 
     if args.n < 3:
         _die("need n >= 3")
-    if args.samples < 1:
-        _die("--samples must be positive")
+    try:
+        check_samples(args.samples, args.n)
+    except ValueError as exc:
+        _die(str(exc))
     rng = np.random.default_rng(args.seed)
     X = sample_mu_batch(mu_distribution(args.n), args.samples, rng)
     rows = []

@@ -25,6 +25,7 @@ from .indices import (
 )
 from .mu import (
     basis_coeffs,
+    check_samples,
     enumerate_cube,
     enumerate_support,
     exact_correlations,
@@ -60,11 +61,10 @@ class BiasedDist:
             raise ValueError(f"bias must lie in (0,1), got {self.bias}")
 
 
-def _check_probe(r: float, samples: int) -> None:
+def _check_probe(r: float, samples: int, n: int) -> None:
     if not r >= 0:  # refuses NaN too
         raise ValueError(f"r must be nonnegative, got {r}")
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    check_samples(samples, n)
 
 
 def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcReport:
@@ -76,8 +76,8 @@ def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcRep
 
 def anticonc_mu(game: VotingGame, r: float, *, samples: int = 200_000, seed: int = 0) -> AntiConcReport:
     """Mass of |w.x - theta| < r (strict) under the slice distribution."""
-    _check_probe(r, samples)
     n = game.n
+    _check_probe(r, samples, n)
     if n <= EXACT_CAP:
         scores = enumerate_support(n) @ game.weights - game.threshold
         est = float(mu_weights(n)[np.abs(scores) < r].sum())
@@ -101,7 +101,7 @@ def balanced_fraction(
     n = w.size
     if not 0 <= i <= n:
         raise ValueError(f"prefix length must lie in [0, {n}], got {i}")
-    _check_probe(r, samples)
+    _check_probe(r, samples, n)
     tot = float(w.sum())
     if n <= BALANCED_EXACT_CAP:
         hits = 0
@@ -149,7 +149,7 @@ def anticonc_biased(
     Returns (report, bound, violated); the bound is vacuous (inf) when no
     weight reaches r, and a sampled violation needs a 5-sigma excess.
     """
-    _check_probe(r, samples)
+    _check_probe(r, samples, game.n)
     if dist.n != game.n:
         raise ValueError(f"dimension mismatch: game n={game.n}, distribution n={dist.n}")
     n = game.n

@@ -16,6 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# budget of one (draws x n) sample matrix, at 8 bytes a cell
+_SAMPLE_BYTES = 512 << 20
+
 
 def lambda_n(n: int) -> float:
     """Normalizer sum_{0<k<n} (1/k + 1/(n-k)) = 2 * H_{n-1}."""
@@ -38,6 +41,14 @@ def mu_pmf(n: int, wt: int) -> float:
     if wt == 0 or wt == n:
         return 0.0
     return slice_prob(n, wt) / math.comb(n, wt)
+
+
+@lru_cache(maxsize=None)
+def mu_pmf_points(n: int) -> np.ndarray:
+    """Read-only (n+1,) vector of mu_pmf(n, k) for k = 0..n."""
+    out = np.array([mu_pmf(n, k) for k in range(n + 1)])
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,6 +78,14 @@ def _weights_from_uniform(dist: MuDistribution, u: np.ndarray) -> np.ndarray:
     ks = np.searchsorted(dist.cumulative, u, side="right")
     # guard the u ~ 1.0 edge against cumulative rounding
     return np.minimum(ks, dist.n - 1)
+
+
+def check_samples(m: int, n: int) -> None:
+    """Refuse a sample count below 1, or one whose (m, n) draws pass the byte budget."""
+    if m < 1:
+        raise ValueError(f"samples must be at least 1, got {m}")
+    if m * n * 8 > _SAMPLE_BYTES:
+        raise ValueError(f"{m} samples of {n} coordinates exceed the {_SAMPLE_BYTES >> 20} MiB sample budget")
 
 
 def sample_mu_batch(dist: MuDistribution, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,8 +131,7 @@ def mu_weights(n: int) -> np.ndarray:
     """Point probabilities aligned with enumerate_support(n)."""
     support = enumerate_support(n)
     wt = np.count_nonzero(support == 1, axis=1)
-    by_weight = np.array([mu_pmf(n, k) for k in range(n + 1)])
-    out = by_weight[wt]
+    out = mu_pmf_points(n)[wt]
     out.setflags(write=False)
     return out
 

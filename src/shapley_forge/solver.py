@@ -56,7 +56,7 @@ from .indices import (
     shapley_int_ltf_dp,
     truthtable_coefficient_matrix,
 )
-from .mu import enumerate_cube, enumerate_support, lambda_n, mu_pmf, mu_weights, pair_correlation
+from .mu import enumerate_cube, enumerate_support, lambda_n, mu_pmf_points, mu_weights, pair_correlation
 
 ORACLE_MODES = ("exact-enum", "exact-dp")
 # largest n whose dense refresh uses the support table: the largest n at
@@ -66,23 +66,14 @@ ORACLE_MODES = ("exact-enum", "exact-dp")
 _ENUM_CAP = 12
 # rounds between two validations of the rows that finished in between
 _CHECK_EVERY = 64
-# bytes of the (rows x 2^n) score matrix in one enumeration batch
-_ENUM_BATCH_BYTES = 64 << 20
-# bytes of the float32 (rows x 2^n) score matrix in one support-refresh
-# chunk; 16 MiB chunks grow a heap that the allocator does not give back
-_REFRESH_BYTES = 4 << 20
 # bytes of the recorded column walks; caps the linear prefix's length
 _WALK_BYTES = 16 << 20
-# bytes of one block of walk states when the prefix is replayed
-_REPLAY_BYTES = 1 << 20
 # budget of the grid's (cells x (n+1)) 8-byte arrays: the targets, the
 # engine's copy of them, and net and corr both by grid row and packed
 _GRID_ARRAYS = 6
 _GRID_BYTES = 512 << 20
 # bytes of subset-table prefix sums one exact-DP solve keeps for reuse
 _TABLE_CACHE_BYTES = 4 << 20
-# bytes of the working arrays of one batch of clip tables
-_BUILD_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,7 +82,6 @@ class SolveConfig:
     xi: float = 0.005
     grid_step: float = 0.05
     oracle_mode: str = "exact-dp"
-    weight_bound: float | None = None
     stall_window: int | None = 512
 
     def __post_init__(self) -> None:
@@ -511,14 +501,14 @@ class _VoterWalks:
         Each voter slot of a walk only ever adds the round's delta (sgamma on
         the appended slot, sgamma * rho on the others), so its values are a
         running sum, and a sequential cumsum from the same start gives the
-        same floats.  The rounds go in blocks of at most _REPLAY_BYTES.
+        same floats.  The rounds go in blocks of about _subsetdp._BLOCK_BYTES.
         """
         C, n = self.C, self.n
         net = np.empty((b.size, n), dtype=np.int64)
         corr = np.empty((b.size, n))
         cnet = np.zeros((1, C, n), dtype=np.int64)
         ccorr = np.zeros((1, C, n))
-        block = max(1, _REPLAY_BYTES // (16 * C * n))
+        block = max(1, _subsetdp._BLOCK_BYTES // (16 * C * n))
         cc = np.arange(C)[None, :]
         lo, top = 0, int(b.max())
         while True:
@@ -545,7 +535,7 @@ class _VoterWalks:
 
 
 def _support_refresh(n: int, gamma: float):
-    """Dense refresh by the support table, in cache-sized row chunks.
+    """Dense refresh by the support table, in row chunks of about _subsetdp._BLOCK_BYTES.
 
     The float32 scores are exact integers while the L1 mass of a net stays
     below 2^24; only the clipped average is rounded, far inside the xi/16
@@ -559,7 +549,7 @@ def _support_refresh(n: int, gamma: float):
     g32 = np.float32(gamma)
 
     def refresh(nets: np.ndarray) -> np.ndarray:
-        chunk = max(1, _REFRESH_BYTES // (4 * support.shape[0]))
+        chunk = max(1, _subsetdp._BLOCK_BYTES // (4 * support.shape[0]))
         out = np.empty(nets.shape)
         for s in range(0, len(nets), chunk):
             H = nets[s : s + chunk].astype(np.float32) @ XT
@@ -572,47 +562,9 @@ def _support_refresh(n: int, gamma: float):
 
 
 def _table_refresh(n: int, gamma: float):
-    """Dense refresh from clip tables, one per distinct sorted voter net.
-
-    A table depends on the voter net only up to order (_subsetdp), so a
-    round's dense rows are grouped by their sorted voter net, and each row
-    reads its correlations from its group's table at its own net_0.  The
-    round's tables are built together, narrowest first, in batches of
-    about _BUILD_BYTES of working arrays.
-    """
-    pmf = np.array([mu_pmf(n, k) for k in range(n + 1)])
-
-    def refresh(nets: np.ndarray) -> np.ndarray:
-        srt, inv = _subsetdp.voter_ranks(nets[:, 1:])
-        groups: dict[bytes, int] = {}
-        grp = np.array([groups.setdefault(s.tobytes(), len(groups)) for s in srt])
-        first = np.empty(len(groups), dtype=np.intp)
-        first[grp[::-1]] = np.arange(grp.size)[::-1]  # each group's first row
-        srt = srt[first]
-        out = np.empty((len(nets), n + 1))
-
-        def build(batch: list[int]) -> None:
-            store, tables = _subsetdp._clip_tables(srt[batch], pmf)
-            at = np.full(len(srt), -1)
-            at[batch] = np.arange(len(batch))
-            rows = np.flatnonzero(at[grp] >= 0)
-            out[rows] = _subsetdp._clip_correlations(store, tables[at[grp[rows]]], nets[rows, 0], inv[rows], gamma)
-
-        # 8-byte rows of working arrays per table, at its batch's width
-        width = np.abs(srt).sum(axis=1) + 2
-        per = n + 1 + 8 * (2 + np.count_nonzero(srt[:, 1:] != srt[:, :-1], axis=1))
-        batch: list[int] = []
-        size = 0
-        for g in np.argsort(width, kind="stable").tolist():
-            if batch and 8 * width[g] * (size + per[g]) > _BUILD_BYTES:
-                build(batch)
-                batch, size = [], 0
-            batch.append(g)
-            size += per[g]
-        build(batch)
-        return out
-
-    return refresh
+    """Dense refresh from clip tables, one per distinct sorted voter net (_subsetdp)."""
+    pmf = mu_pmf_points(n)
+    return lambda nets: _subsetdp.mu_correlations_nets(nets, gamma, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -661,7 +613,7 @@ def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndar
     the signs overwrite them in place.
     """
     coef = truthtable_coefficient_matrix(n)
-    chunk = max(1, _ENUM_BATCH_BYTES // (8 * coef.shape[0]))
+    chunk = max(1, _subsetdp._BLOCK_BYTES // (8 * coef.shape[0]))
 
     def dist(rows: np.ndarray) -> np.ndarray:
         rows = rows.astype(np.float64)
@@ -753,13 +705,13 @@ def solve_is(target, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     return _solve(np.asarray(target, dtype=np.float64), cfg, cfg.xi, default_eps=0.1)
 
 
-def solve_isbw(target, cfg: SolveConfig) -> SolveResult:
+def solve_isbw(target, weight_bound: float, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Bounded-weight variant: xi shrinks with the assumed weight budget."""
     target = np.asarray(target, dtype=np.float64)
-    if cfg.weight_bound is None or not (math.isfinite(cfg.weight_bound) and cfg.weight_bound > 0):
-        raise ValueError("solve_isbw needs a positive finite weight_bound")
+    if not (math.isfinite(weight_bound) and weight_bound > 0):
+        raise ValueError(f"solve_isbw needs a positive finite weight_bound, got {weight_bound}")
     n = target.size
-    xi = min(cfg.xi, 1.0 / (10.0 * n * cfg.weight_bound))
+    xi = min(cfg.xi, 1.0 / (10.0 * n * weight_bound))
     return _solve(target, cfg, xi, default_eps=n ** (-1.0 / 8.0))
 
 

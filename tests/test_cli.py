@@ -426,6 +426,28 @@ def test_diagnose_rejects_bad_r_or_samples_with_exit_2(tmp_path, capsys, mode, f
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample-mu", "-n", "10"],
+        ["diagnose", "anticonc-mu"],
+        ["diagnose", "balanced", "--i", "3"],
+        ["diagnose", "anticonc-biased"],
+    ],
+    ids=["sample-mu", "anticonc-mu", "balanced", "anticonc-biased"],
+)
+def test_oversized_samples_exit_2_before_allocating(tmp_path, capsys, argv):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 25, "weights": [1] * 25, "quota": 13}))
+    if argv[0] == "diagnose":
+        argv = [*argv, "--game", str(path)]
+    code, out, err = run_app([*argv, "--samples", "1000000000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "budget" in err
+
+
 def test_diagnose_distances(game_file, tmp_path, capsys):
     other = tmp_path / "maj.json"
     other.write_text(json.dumps({"n": 3, "weights": [1, 1, 1], "threshold": 0.0}))

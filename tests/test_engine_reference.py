@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reference import LockstepEngine, RoundCapError
-from shapley_forge import solver
+from shapley_forge import _subsetdp, solver
 from shapley_forge.games import QuotaGame
 from shapley_forge.indices import shapley_exact_dp
 from shapley_forge.mu import degree1_moment_matrix
@@ -194,7 +194,7 @@ def test_prefix_is_bit_identical_per_step(seed, n, xi, kwargs, r0):
 @pytest.mark.parametrize("replay_bytes", [None, 1])  # 1: one round per replay block
 def test_prefix_early_stop_inside_the_prefix_matches_reference(monkeypatch, replay_bytes):
     if replay_bytes is not None:
-        monkeypatch.setattr(solver, "_REPLAY_BYTES", replay_bytes)
+        monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", replay_bytes)
     n, xi = 8, 0.02
     A = _random_grid(15, n, 0.25)
     eng, ref = _pair(n, A, xi / 2.0, lin_cap=10**9, stall_window=None)

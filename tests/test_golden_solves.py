@@ -24,25 +24,25 @@ from shapley_forge.indices import shapley_exact_dp
 
 GOLDEN = Path(__file__).with_name("golden_solves.json")
 
-# name -> (target, solver, SolveConfig keywords); a target ["quota", seed, n]
-# is the index vector of a random quota game with weights 0..10 and quota
-# total // 2 + 1
+# name -> (target, weight bound, SolveConfig keywords); a target ["quota",
+# seed, n] is the index vector of a random quota game with weights 0..10 and
+# quota total // 2 + 1, and a case with a weight bound runs solve_isbw
 CASES = {
-    "dp-16-a": (["quota", 101, 16], "is", {"xi": 0.005}),
-    "dp-16-b": (["quota", 102, 16], "is", {"xi": 0.005}),
-    "dp-20-a": (["quota", 103, 20], "is", {"xi": 0.005}),
-    "dp-20-b": (["quota", 104, 20], "is", {"xi": 0.005}),
+    "dp-16-a": (["quota", 101, 16], None, {"xi": 0.005}),
+    "dp-16-b": (["quota", 102, 16], None, {"xi": 0.005}),
+    "dp-20-a": (["quota", 103, 20], None, {"xi": 0.005}),
+    "dp-20-b": (["quota", 104, 20], None, {"xi": 0.005}),
     # xi = 0.02: rows outlive lin_cap = 99, go dense and hand off
-    "dp-12-dense": (["quota", 105, 12], "is", {"xi": 0.02}),
-    "enum-12-dense": (["quota", 105, 12], "is", {"xi": 0.02, "oracle_mode": "exact-enum"}),
-    "dp-10-stall-64": (["quota", 106, 10], "is", {"xi": 0.005, "stall_window": 64}),
-    "enum-8-no-stall": (["quota", 107, 8], "is", {"xi": 0.02, "stall_window": None,
-                                                  "oracle_mode": "exact-enum"}),
-    "dp-6-isbw": (["quota", 108, 6], "isbw", {"weight_bound": 3}),
-    "dp-14-grid-0.25": (["quota", 109, 14], "is", {"xi": 0.02, "grid_step": 0.25}),
+    "dp-12-dense": (["quota", 105, 12], None, {"xi": 0.02}),
+    "enum-12-dense": (["quota", 105, 12], None, {"xi": 0.02, "oracle_mode": "exact-enum"}),
+    "dp-10-stall-64": (["quota", 106, 10], None, {"xi": 0.005, "stall_window": 64}),
+    "enum-8-no-stall": (["quota", 107, 8], None, {"xi": 0.02, "stall_window": None,
+                                                "oracle_mode": "exact-enum"}),
+    "dp-6-isbw": (["quota", 108, 6], 3, {}),
+    "dp-14-grid-0.25": (["quota", 109, 14], None, {"xi": 0.02, "grid_step": 0.25}),
     # unreachable: every cell of the grid is boosted and scored
-    "dp-5-unreachable": ([1.5, -0.5, 1.0, 0.25, -0.25], "is", {"xi": 0.02}),
-    "enum-3-unreachable": ([-1.0, -1.0, -1.0], "is", {"xi": 0.02, "oracle_mode": "exact-enum"}),
+    "dp-5-unreachable": ([1.5, -0.5, 1.0, 0.25, -0.25], None, {"xi": 0.02}),
+    "enum-3-unreachable": ([-1.0, -1.0, -1.0], None, {"xi": 0.02, "oracle_mode": "exact-enum"}),
 }
 
 
@@ -55,10 +55,12 @@ def _target(spec) -> np.ndarray:
 
 
 def _solve(name: str) -> dict:
-    spec, which, kwargs = CASES[name]
+    spec, bound, kwargs = CASES[name]
     cfg = solver.SolveConfig(**kwargs)
-    fn = solver.solve_isbw if which == "isbw" else solver.solve_is
-    res = fn(_target(spec), cfg)
+    if bound is None:
+        res = solver.solve_is(_target(spec), cfg)
+    else:
+        res = solver.solve_isbw(_target(spec), bound, cfg)
     return {
         "weights": res.game.weights.tolist(),
         "threshold": res.game.threshold,

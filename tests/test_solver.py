@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from shapley_forge import solver
+from shapley_forge import _subsetdp, solver
 from shapley_forge.boosting import (
     BoostState,
     BoostTargets,
@@ -119,7 +119,7 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
 
     whole = run_engine()
     assert whole.dense.sum() >= 50
-    monkeypatch.setattr(solver, "_REFRESH_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 4 * (2**n - 2) * 3)  # 3 rows a chunk
     chunked = run_engine()
     assert np.array_equal(chunked.net, whole.net)
     assert np.array_equal(chunked.t, whole.t)
@@ -310,12 +310,30 @@ def test_exact_dp_solve_above_enum_cap_scores_the_returned_game():
 
 def test_exact_enum_solve_above_enum_cap_matches_exact_dp(monkeypatch):
     # a few rows per truth-table batch, so validation runs through many chunks
-    monkeypatch.setattr(solver, "_ENUM_BATCH_BYTES", 8 * 2**15 * 7)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 8 * 2**15 * 7)
     target = shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1, 7), 35)).shapley
     enum = solve_is(target, SolveConfig(xi=0.005, oracle_mode="exact-enum"))
     dp = solve_is(target, SolveConfig(xi=0.005, oracle_mode="exact-dp"))
     assert enum.status == dp.status
     assert enum.est_dshapley == pytest.approx(dp.est_dshapley, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["exact-enum", "exact-dp"])
+def test_solve_does_not_depend_on_the_block_budget(monkeypatch, mode):
+    # xi = 0.02 at n = 14: rows go dense, so every blocked loop runs (the
+    # walk replay, the clip-table builds and gathers, and validation)
+    target = shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1), 33)).shapley
+    cfg = SolveConfig(xi=0.02, grid_step=0.25, oracle_mode=mode)
+    whole = solve_is(target, cfg)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)  # one item per block
+    blocked = solve_is(target, cfg)
+    assert np.array_equal(blocked.game.weights, whole.game.weights)
+    assert blocked.game.threshold == whole.game.threshold
+    assert blocked.guess == whole.guess
+    assert (blocked.status, blocked.boost_iterations) == (whole.status, whole.boost_iterations)
+    assert blocked.grid_evaluated == whole.grid_evaluated
+    # only the truth-table product's sums depend on its row blocks
+    assert abs(blocked.est_dshapley - whole.est_dshapley) <= 1e-12
 
 
 def test_solve_recovers_dictator():
@@ -356,15 +374,16 @@ def test_nu_warning_flag():
 
 
 def test_solve_isbw_requires_bound():
-    with pytest.raises(ValueError):
-        solve_isbw(np.full(3, 2.0 / 3.0), SolveConfig())
+    for bound in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="weight_bound"):
+            solve_isbw(np.full(3, 2.0 / 3.0), bound)
 
 
 def test_solve_isbw_tightens_xi_and_solves():
     q = QuotaGame((3, 2, 1, 1), 4)
     target = shapley_exact_truthtable(ltf_fn(quota_to_ltf(q)), 4).shapley
-    cfg = SolveConfig(xi=0.05, oracle_mode="exact-dp", weight_bound=2.0, epsilon=0.1)
-    res = solve_isbw(target, cfg)
+    cfg = SolveConfig(xi=0.05, oracle_mode="exact-dp", epsilon=0.1)
+    res = solve_isbw(target, 2.0, cfg)
     assert res.status == "solved"
     # bound 2 with n=4 forces xi down to 1/80
     assert res.est_dshapley <= 0.1

@@ -72,9 +72,9 @@ def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
     for t, S in zip(ts, steps):
         assert np.array_equal(_subsetdp._window_sums(w, [t])[0][0], S)
     cells = 41 * 44 // 2  # cells read per (step, weight) row
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 24 * cells * 5)  # 5 rows a block
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 24 * cells * 5)  # 5 rows a block
     assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
-    monkeypatch.setattr(_subsetdp, "_GATHER_BYTES", 1)  # one row per block
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)  # one row per block
     assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
 
 
@@ -160,8 +160,7 @@ def test_table_refresh_matches_the_dp_oracle_and_per_voter_sums(n, rng, monkeypa
         want = _per_voter_correlations([int(v) for v in net[1:]], int(net[0]), gamma, pmf)
         assert np.allclose(row, want, rtol=0, atol=1e-12), net
     # tables built one at a time and read one row per gather block
-    monkeypatch.setattr(solver, "_BUILD_BYTES", 1)
-    monkeypatch.setattr(_subsetdp, "_CLIP_GATHER_BYTES", 1)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)
     refresh = solver._table_refresh(n, gamma)
     assert np.array_equal(refresh(nets), got)
     assert np.array_equal(refresh(nets[::-1]), got[::-1])
