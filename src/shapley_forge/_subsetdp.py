@@ -42,8 +42,8 @@ _FLOAT_EXACT_N = 56
 _TABLE_BYTES = 256 << 20
 # bytes of the temporary arrays of one block of a blocked loop, here and in
 # the solver; each loop reads it at call time and sizes its blocks by its own
-# bytes per item.  Larger blocks are no faster, and 16 MiB ones grow a heap
-# that the allocator does not give back
+# bytes per item.  Up to n = 16 larger blocks are no faster, and 16 MiB ones
+# grow a heap that the allocator does not give back
 _BLOCK_BYTES = 4 << 20
 
 

@@ -61,10 +61,11 @@ class BiasedDist:
             raise ValueError(f"bias must lie in (0,1), got {self.bias}")
 
 
-def _check_probe(r: float, samples: int, n: int) -> None:
+def _check_probe(r: float, samples: int) -> None:
     if not r >= 0:  # refuses NaN too
         raise ValueError(f"r must be nonnegative, got {r}")
-    check_samples(samples, n)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
 
 def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcReport:
@@ -76,12 +77,13 @@ def _sample_report(hits: np.ndarray, r: float, distribution: str) -> AntiConcRep
 
 def anticonc_mu(game: VotingGame, r: float, *, samples: int = 200_000, seed: int = 0) -> AntiConcReport:
     """Mass of |w.x - theta| < r (strict) under the slice distribution."""
+    _check_probe(r, samples)
     n = game.n
-    _check_probe(r, samples, n)
     if n <= EXACT_CAP:
         scores = enumerate_support(n) @ game.weights - game.threshold
         est = float(mu_weights(n)[np.abs(scores) < r].sum())
         return AntiConcReport(r=r, estimate=est, stderr=0.0, samples=2**n - 2, distribution="mu", method="exact")
+    check_samples(samples, n)
     rng = np.random.default_rng(seed)
     X = sample_mu_batch(mu_distribution(n), samples, rng)
     hits = np.abs(X @ game.weights - game.threshold) < r
@@ -101,7 +103,7 @@ def balanced_fraction(
     n = w.size
     if not 0 <= i <= n:
         raise ValueError(f"prefix length must lie in [0, {n}], got {i}")
-    _check_probe(r, samples, n)
+    _check_probe(r, samples)
     tot = float(w.sum())
     if n <= BALANCED_EXACT_CAP:
         hits = 0
@@ -113,6 +115,7 @@ def balanced_fraction(
         return AntiConcReport(
             r=r, estimate=hits / count, stderr=0.0, samples=count, distribution="balanced-prefix", method="exact"
         )
+    check_samples(samples, n)
     rng = np.random.default_rng(seed)
     U = rng.random((samples, n))
     if i == 0:
@@ -149,7 +152,7 @@ def anticonc_biased(
     Returns (report, bound, violated); the bound is vacuous (inf) when no
     weight reaches r, and a sampled violation needs a 5-sigma excess.
     """
-    _check_probe(r, samples, game.n)
+    _check_probe(r, samples)
     if dist.n != game.n:
         raise ValueError(f"dimension mismatch: game n={game.n}, distribution n={dist.n}")
     n = game.n
@@ -165,6 +168,7 @@ def anticonc_biased(
             r=r, estimate=est, stderr=0.0, samples=2**n, distribution="biased", method="exact"
         )
         return report, bound, est > bound
+    check_samples(samples, n)
     rng = np.random.default_rng(seed)
     X = np.where(rng.random((samples, n)) < delta, 1, -1).astype(np.int8)
     hits = np.abs(X @ game.weights - game.threshold) < r

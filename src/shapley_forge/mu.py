@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# budget of one (draws x n) sample matrix, at 8 bytes a cell
+# budget of one float64 (draws x n) matrix; a probe holds up to about three
 _SAMPLE_BYTES = 512 << 20
 
 
@@ -81,7 +81,7 @@ def _weights_from_uniform(dist: MuDistribution, u: np.ndarray) -> np.ndarray:
 
 
 def check_samples(m: int, n: int) -> None:
-    """Refuse a sample count below 1, or one whose (m, n) draws pass the byte budget."""
+    """Refuse a sample count below 1, or one whose (m, n) float64 draws pass the byte budget."""
     if m < 1:
         raise ValueError(f"samples must be at least 1, got {m}")
     if m * n * 8 > _SAMPLE_BYTES:

@@ -610,10 +610,11 @@ def _exact_d_enum_batch(nets: np.ndarray, target: np.ndarray, n: int) -> np.ndar
     The scores net_0 + net . x are built by doubling in cube order: after
     voter j the first 2^(j+1) columns hold every sign pattern of voters
     0..j, the -net_j half first.  They are exact integers in float64, and
-    the signs overwrite them in place.
+    the signs overwrite them in place.  Past _BLOCK_BYTES if need be (from
+    n = 17), a chunk holds n/2 rows, so S @ coef reads coef once per n/2 rows.
     """
     coef = truthtable_coefficient_matrix(n)
-    chunk = max(1, _subsetdp._BLOCK_BYTES // (8 * coef.shape[0]))
+    chunk = max(1, n // 2, _subsetdp._BLOCK_BYTES // (8 * coef.shape[0]))
 
     def dist(rows: np.ndarray) -> np.ndarray:
         rows = rows.astype(np.float64)

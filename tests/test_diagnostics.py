@@ -50,6 +50,22 @@ def test_anticonc_mu_sampled_path_tracks_exact():
     assert abs(rep.estimate - exact) <= 5 * rep.stderr + 1e-9
 
 
+def test_sample_budget_applies_only_to_sampled_paths():
+    huge = 10**12  # would allocate terabytes if drawn
+    small, large = VotingGame(np.ones(5), 0.0), VotingGame(np.ones(25), 0.0)
+    assert anticonc_mu(small, 1.0, samples=huge).method == "exact"
+    assert balanced_fraction(0.0, np.ones(5), 2, 1.0, samples=huge).method == "exact"
+    assert anticonc_biased(small, 1.0, BiasedDist(5, 0.3), samples=huge)[0].method == "exact"
+    with pytest.raises(ValueError, match="budget"):
+        anticonc_mu(large, 1.0, samples=huge)
+    with pytest.raises(ValueError, match="budget"):
+        balanced_fraction(0.0, np.ones(25), 2, 1.0, samples=huge)
+    with pytest.raises(ValueError, match="budget"):
+        anticonc_biased(large, 1.0, BiasedDist(25, 0.3), samples=huge)
+    with pytest.raises(ValueError, match="at least 1"):
+        anticonc_mu(small, 1.0, samples=0)
+
+
 def test_balanced_fraction_matches_reference(rng):
     for _ in range(5):
         n = int(rng.integers(3, 8))

@@ -325,7 +325,8 @@ def test_solve_does_not_depend_on_the_block_budget(monkeypatch, mode):
     target = shapley_exact_dp(QuotaGame((5, 3, 8, 2, 7, 1, 9, 4, 6, 2, 3, 8, 5, 1), 33)).shapley
     cfg = SolveConfig(xi=0.02, grid_step=0.25, oracle_mode=mode)
     whole = solve_is(target, cfg)
-    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)  # one item per block
+    # one item per block, except validation's floor of n/2 = 7 rows a chunk
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)
     blocked = solve_is(target, cfg)
     assert np.array_equal(blocked.game.weights, whole.game.weights)
     assert blocked.game.threshold == whole.game.threshold
