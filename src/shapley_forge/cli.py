@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 _START = time.monotonic()
 
@@ -151,19 +152,26 @@ def _emit_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(header: list[str], rows: list[list], out: str | None, manifest: dict) -> None:
+def _write_csv(fh, header: list[str], rows: Iterable) -> int:
+    """Write header and rows, reading rows once as they come; returns the row count."""
+    w = csv.writer(fh)
+    w.writerow(header)
+    count = 0
+    for row in rows:
+        w.writerow(row)
+        count += 1
+    return count
+
+
+def _emit_csv(header: list[str], rows: Iterable, out: str | None, manifest: dict) -> None:
     if out:
         with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+            count = _write_csv(fh, header, rows)
         with open(out + ".manifest.json", "w") as fh:
             fh.write(dumps_json17(manifest) + "\n")
-        print(f"OK wrote {out} ({len(rows)} rows)", file=sys.stderr)
+        print(f"OK wrote {out} ({count} rows)", file=sys.stderr)
     else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
+        _write_csv(sys.stdout, header, rows)
         print(dumps_json17(manifest), file=sys.stderr)
 
 
@@ -299,13 +307,28 @@ def _cmd_sample_mu(args) -> int:
         _die(str(exc))
     rng = np.random.default_rng(args.seed)
     X = sample_mu_batch(mu_distribution(args.n), args.samples, rng)
-    rows = []
-    for idx, row in enumerate(X):
-        bits = "".join("+" if b == 1 else "-" for b in row)
-        rows.append([idx, int(np.count_nonzero(row == 1)), bits])
     man = _manifest("sample-mu", vars(args), args.seed, "ok")
-    _emit_csv(["sample_index", "wt", "bits"], rows, args.out, man)
+    _emit_csv(["sample_index", "wt", "bits"], _draw_rows(X), args.out, man)
     return 0
+
+
+def _draw_rows(X):
+    """(index, weight, '+'/'-' string) per draw, made one block of draws at a time.
+
+    A block's arrays and lists take about 8 bytes per draw and voter, so
+    about _subsetdp._BLOCK_BYTES in all.
+    """
+    import numpy as np
+
+    from ._subsetdp import _BLOCK_BYTES
+
+    m, n = X.shape
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    for s in range(0, m, block):
+        yes = X[s : s + block] == 1
+        wt = np.count_nonzero(yes, axis=1).tolist()
+        bits = np.where(yes, np.uint8(ord("+")), np.uint8(ord("-"))).view(f"S{n}")[:, 0]
+        yield from zip(range(s, s + len(wt)), wt, (b.decode() for b in bits))
 
 
 def _cmd_diagnose(args) -> int:

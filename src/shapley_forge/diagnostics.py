@@ -170,7 +170,7 @@ def anticonc_biased(
         return report, bound, est > bound
     check_samples(samples, n)
     rng = np.random.default_rng(seed)
-    X = np.where(rng.random((samples, n)) < delta, 1, -1).astype(np.int8)
+    X = np.where(rng.random((samples, n)) < delta, np.int8(1), np.int8(-1))
     hits = np.abs(X @ game.weights - game.threshold) < r
     report = _sample_report(hits, r, "biased")
     return report, bound, report.estimate > bound + 5.0 * report.stderr

@@ -6,6 +6,10 @@ budget gamma: correlations get gamma/sqrt(n+1) per slot from m =
 ceil(2 (n+1) ln(2(n+1)/delta) / gamma^2) draws, index estimates get
 gamma/sqrt(n) per voter from m = ceil(8 n ln(2n/delta) / gamma^2) sampled
 voter orders (each summand spans [-2, 2]).
+
+Draws and sampled orders go through fn in blocks sized by
+_subsetdp._BLOCK_BYTES, so working memory does not grow with the sample
+count; only the (n+1,) or (n,) accumulators persist between blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _subsetdp
 from .mu import mu_distribution, sample_mu_batch
 
 
@@ -47,9 +52,6 @@ def _check_budget(m: int, cfg: EstimateConfig) -> None:
         raise ValueError(f"estimator needs {m} samples, over the configured cap {cfg.max_samples}")
 
 
-_BATCH = 1 << 15
-
-
 def estimate_correlations(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, int]:
     """Estimate (E[f], E[f x_1], ..., E[f x_n]) under the slice distribution."""
     m = correlation_sample_count(n, cfg.gamma, cfg.delta)
@@ -57,9 +59,11 @@ def estimate_correlations(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, 
     rng = np.random.default_rng(cfg.seed)
     dist = mu_distribution(n)
     acc = np.zeros(n + 1)
+    # fn's float64 cast of a block of draws is the largest array
+    block = max(1, _subsetdp._BLOCK_BYTES // (8 * n))
     done = 0
     while done < m:
-        b = min(_BATCH, m - done)
+        b = min(block, m - done)
         X = sample_mu_batch(dist, b, rng)
         v = np.asarray(fn(X), dtype=np.float64)
         acc[0] += v.sum()
@@ -73,16 +77,20 @@ def _order_sweep(fn, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 
     Each order is swept once: the n+1 nested prefixes are evaluated in a
     batch and consecutive differences are credited to the voter that joined.
-    Per-order totals telescope to f(all +1) - f(all -1) exactly.
+    Per-order totals telescope to f(all +1) - f(all -1) exactly.  Orders go
+    in blocks whose (b*(n+1), n) prefix rows, cast to float64 by fn, take
+    about _subsetdp._BLOCK_BYTES; the block size does not change which
+    orders are drawn.
     """
     acc = np.zeros(n)
     steps = np.arange(n + 1)[None, :, None]
+    block = max(1, _subsetdp._BLOCK_BYTES // (8 * (n + 1) * n))
     done = 0
     while done < m:
-        b = min(_BATCH, m - done)
+        b = min(block, m - done)
         P = np.argsort(rng.random((b, n)), axis=1)
         rank = np.argsort(P, axis=1)
-        X = np.where(rank[:, None, :] < steps, 1, -1).astype(np.int8)
+        X = np.where(rank[:, None, :] < steps, np.int8(1), np.int8(-1))
         V = np.asarray(fn(X.reshape(-1, n)), dtype=np.float64).reshape(b, n + 1)
         diffs = V[:, 1:] - V[:, :-1]
         acc += np.bincount(P.ravel(), weights=diffs.ravel(), minlength=n)

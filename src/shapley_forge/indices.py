@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _subsetdp
 from .games import QuotaGame, VotingGame
-from .mu import basis_coeffs, enumerate_cube, lambda_n
+from .mu import basis_coeffs, blocked_values, enumerate_cube, lambda_n
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ def truthtable_coefficient_matrix(n: int) -> np.ndarray:
 def shapley_exact_truthtable(fn, n: int) -> ShapleyReport:
     """Index vector by summing the per-point formula over all 2^n inputs.
 
-    fn maps an (m, n) +-1 matrix to m values.
+    fn maps an (m, n) +-1 matrix to m values; it is called on row blocks
+    of the cube (mu.blocked_values).
     """
-    cube = enumerate_cube(n)
-    vals = np.asarray(fn(cube), dtype=np.float64)
+    vals = blocked_values(fn, enumerate_cube(n))
     arr = truthtable_coefficient_matrix(n).T @ vals
     f_top = float(vals[-1])
     f_bottom = float(vals[0])

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _subsetdp
+
 # budget of one float64 (draws x n) matrix; a probe holds up to about three
 _SAMPLE_BYTES = 512 << 20
 
@@ -112,8 +114,12 @@ def enumerate_cube(n: int) -> np.ndarray:
     """All of {-1,+1}^n as a (2^n, n) int8 matrix, coordinate j from bit j."""
     if n > ENUM_CAP:
         raise ValueError(f"refusing to enumerate 2^{n} points (cap {ENUM_CAP})")
-    bits = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    cube = (2 * bits - 1).astype(np.int8)
+    cube = np.empty((2**n, n), dtype=np.int8)
+    for j in range(n):
+        # bit j of the row index: runs of 2^j zeros then 2^j ones
+        runs = cube.reshape(-1, 2, 1 << j, n)
+        runs[:, 0, :, j] = -1
+        runs[:, 1, :, j] = 1
     cube.setflags(write=False)
     return cube
 
@@ -136,16 +142,28 @@ def mu_weights(n: int) -> np.ndarray:
     return out
 
 
+def blocked_values(fn, X: np.ndarray) -> np.ndarray:
+    """fn over the rows of X as float64, fn called on row blocks of X.
+
+    A block holds about _subsetdp._BLOCK_BYTES of fn's float64 cast of its
+    rows, so the working arrays stay that small however many rows X has.
+    """
+    rows = max(1, _subsetdp._BLOCK_BYTES // (8 * X.shape[1]))
+    vals = np.empty(X.shape[0])
+    for s in range(0, X.shape[0], rows):
+        vals[s : s + rows] = fn(X[s : s + rows])
+    return vals
+
+
 def exact_mu_expectation(fn, n: int) -> float:
     """E[f] by enumeration; fn maps an (m, n) +-1 matrix to m values."""
-    vals = np.asarray(fn(enumerate_support(n)), dtype=np.float64)
-    return float(mu_weights(n) @ vals)
+    return float(mu_weights(n) @ blocked_values(fn, enumerate_support(n)))
 
 
 def exact_correlations(fn, n: int) -> np.ndarray:
     """(n+1,) vector: entry 0 is E[f], entry i is E[f x_i]."""
     support = enumerate_support(n)
-    vals = np.asarray(fn(support), dtype=np.float64)
+    vals = blocked_values(fn, support)
     weighted = mu_weights(n) * vals
     out = np.empty(n + 1)
     out[0] = weighted.sum()

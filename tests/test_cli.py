@@ -355,6 +355,17 @@ def test_sample_mu_csv(capsys):
     assert json.loads(err)["command"] == "sample-mu"
 
 
+def test_sample_mu_rows_do_not_depend_on_the_block_budget(monkeypatch, capsys):
+    from shapley_forge import _subsetdp
+
+    argv = ["sample-mu", "-n", "5", "--samples", "40", "--seed", "3"]
+    _, whole, _ = run_app(argv, capsys)
+    monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 8 * 5 * 3)  # 3 draws a block
+    _, blocked, _ = run_app(argv, capsys)
+    assert blocked == whole
+    assert len(list(csv.reader(io.StringIO(blocked)))) == 41
+
+
 def test_sample_mu_sidecar_manifest(tmp_path, capsys):
     out_path = tmp_path / "draws.csv"
     code, _, _ = run_app(

@@ -56,6 +56,12 @@ def test_enumerate_cube_is_lsb_first():
     cube = enumerate_cube(2)
     assert cube.tolist() == [[-1, -1], [1, -1], [-1, 1], [1, 1]]
     assert not cube.flags.writeable
+    for n in range(1, 13):
+        # entry (r, j) is +1 exactly when bit j of the row index r is set
+        bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        cube = enumerate_cube(n)
+        assert cube.dtype == np.int8
+        assert np.array_equal(cube, np.where(bits == 1, 1, -1))
 
 
 def test_enumerate_support_drops_constants():
