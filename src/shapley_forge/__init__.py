@@ -18,7 +18,6 @@ _EXPORTS = {
     "BoostResult": ".boosting",
     "BoostState": ".boosting",
     "BoostTargets": ".boosting",
-    "IterationCapError": ".boosting",
     "boost": ".boosting",
     "AntiConcReport": ".diagnostics",
     "BiasedDist": ".diagnostics",

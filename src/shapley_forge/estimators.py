@@ -28,7 +28,6 @@ class EstimateConfig:
     gamma: float = 0.1
     delta: float = 0.01
     seed: int = 0
-    max_samples: int | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0):
@@ -47,15 +46,9 @@ def shapley_sample_count(n: int, gamma: float, delta: float) -> int:
     return math.ceil(8 * n * math.log(2 * n / delta) / gamma**2)
 
 
-def _check_budget(m: int, cfg: EstimateConfig) -> None:
-    if cfg.max_samples is not None and m > cfg.max_samples:
-        raise ValueError(f"estimator needs {m} samples, over the configured cap {cfg.max_samples}")
-
-
 def estimate_correlations(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, int]:
     """Estimate (E[f], E[f x_1], ..., E[f x_n]) under the slice distribution."""
     m = correlation_sample_count(n, cfg.gamma, cfg.delta)
-    _check_budget(m, cfg)
     rng = np.random.default_rng(cfg.seed)
     dist = mu_distribution(n)
     acc = np.zeros(n + 1)
@@ -101,7 +94,6 @@ def _order_sweep(fn, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
 def estimate_shapley(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, int]:
     """Estimate the index vector from random voter orders."""
     m = shapley_sample_count(n, cfg.gamma, cfg.delta)
-    _check_budget(m, cfg)
     rng = np.random.default_rng(cfg.seed)
     return _order_sweep(fn, n, m, rng) / m, m
 

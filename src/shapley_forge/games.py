@@ -17,8 +17,8 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class VotingGame:
-    """Linear threshold function sign(w.x - theta), sign(0) = +1."""
+class _AffineForm:
+    """Validated weights w and threshold theta of the form w.x - theta."""
 
     weights: np.ndarray
     threshold: float
@@ -36,6 +36,11 @@ class VotingGame:
     @property
     def n(self) -> int:
         return int(self.weights.size)
+
+
+@dataclass(frozen=True)
+class VotingGame(_AffineForm):
+    """Linear threshold function sign(w.x - theta), sign(0) = +1."""
 
 
 def _integral(value, what: str) -> int:
@@ -78,25 +83,8 @@ class QuotaGame:
 
 
 @dataclass(frozen=True)
-class LinearBoundedFunction:
+class LinearBoundedFunction(_AffineForm):
     """Clipped affine form clip(w.x - theta, -1, 1)."""
-
-    weights: np.ndarray
-    threshold: float
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.threshold):
-            raise ValueError("weights and threshold must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "threshold", float(self.threshold))
-        w.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
 
 
 def ltf_values(game: VotingGame, X: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -42,25 +41,15 @@ class ShapleyReport:
         return int(self.shapley.size)
 
 
-def _flip_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients p[wt] (x_i = +1) and m[wt] (x_i = -1) of the point formula."""
-    fact = math.factorial
-    p = np.zeros(n + 1)
-    m = np.zeros(n + 1)
-    for k in range(n + 1):
-        if k >= 1:
-            p[k] = float(Fraction(fact(k - 1) * fact(n - k), fact(n)))
-        if k <= n - 1:
-            m[k] = float(Fraction(fact(k) * fact(n - k - 1), fact(n)))
-    return p, m
-
-
 @lru_cache(maxsize=None)
 def truthtable_coefficient_matrix(n: int) -> np.ndarray:
     """(2^n, n) matrix A with index vector = A.T @ (function truth table)."""
     cube = enumerate_cube(n)
     wt = np.count_nonzero(cube == 1, axis=1)
-    p, m = _flip_weights(n)
+    # a voter of a weight-wt point: p[wt] = (wt-1)!(n-wt)!/n! at x_i = +1,
+    # m[wt] = wt!(n-wt-1)!/n! at x_i = -1
+    coef = _subsetdp._pivot_coef(n)
+    p, m = np.concatenate(([0.0], coef)), np.concatenate((coef, [0.0]))
     A = np.where(cube == 1, p[wt][:, None], -m[wt][:, None])
     A.setflags(write=False)
     return A

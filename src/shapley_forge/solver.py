@@ -7,25 +7,9 @@ runs the boosting loop against each implied correlation vector, thresholds
 each resulting clipped form into a voting game and keeps any candidate whose
 exact index distance clears the acceptance margin 8*eps/10.
 
-The whole grid is boosted in lockstep by one vectorized engine, at every n
-and in both oracle modes.  A row's integer net is its whole state.  Rows stay
-in a closed-form "linear" regime while their running sums provably never
-clip, and move one-way into a dense regime whose correlations are recomputed
-from the net after every append by one refresh callable: from the support
-table up to n = 12, and above it from one clip table per distinct sorted
-voter net, shared by the round's rows that carry it (see _subsetdp).  Both
-are exact, so the boosting oracle never samples.
-
-In the linear regime an append moves either corr_0 or the voter
-correlations, never both, and every row of a grid column (one mean_corr)
-has the same voter targets.  So for the first rounds, where no row can go
-dense, stall or hit the cap, the engine walks the voters once per column,
-and a row finishes at round a* + b*: the slot-0 appends its f0 needs plus
-the round its column's walk stops.  A round there advances the walks and
-returns the rows scheduled for it; the rows still live when those rounds
-end are replayed, and the full per-row step takes over.  The results are
-the same floats either way.  A row still live at the round cap finishes
-unconverged, like a stalled row.
+The whole grid is boosted in lockstep by boosting._GridEngine, at every n
+and in both oracle modes; a row's integer net is its whole state, and a
+row still live at the round cap finishes unconverged, like a stalled row.
 
 Every row is scored exactly once, at the checkpoint where it finishes.  In
 exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
@@ -48,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsetdp
-from .boosting import game_from_net
+from .boosting import _dense_refresh, _GridEngine, game_from_net, round_cap
 from .games import VotingGame, ltf_fn
 from .indices import (
     d_shapley,
@@ -56,18 +40,9 @@ from .indices import (
     shapley_int_ltf_dp,
     truthtable_coefficient_matrix,
 )
-from .mu import enumerate_cube, enumerate_support, lambda_n, mu_pmf_points, mu_weights, pair_correlation
+from .mu import lambda_n
 
 ORACLE_MODES = ("exact-enum", "exact-dp")
-# largest n whose dense refresh uses the support table: the largest n at
-# which it is faster than the clip tables over whole dense solves at both
-# xi = 0.02 and 0.005 (at n = 13 the tables win at xi = 0.02 and lose at
-# 0.005, where sum |w| is larger)
-_ENUM_CAP = 12
-# rounds between two validations of the rows that finished in between
-_CHECK_EVERY = 64
-# bytes of the recorded column walks; caps the linear prefix's length
-_WALK_BYTES = 16 << 20
 # budget of the grid's (cells x (n+1)) 8-byte arrays: the targets, the
 # engine's copy of them, and net and corr both by grid row and packed
 _GRID_ARRAYS = 6
@@ -115,456 +90,6 @@ class SolveResult:
     status: str
     nu_warning: bool = False
     grid_evaluated: int = 0
-
-
-# ---------------------------------------------------------------------------
-# Vectorized multi-target boosting engine
-# ---------------------------------------------------------------------------
-
-
-class _GridEngine:
-    """Boosts every target row of A in lockstep; a row's net is its whole state.
-
-    A row starts in linear mode: while sum_l |net_l| stays below 1/gamma no
-    support point can clip, so the correlation update of an append is the
-    closed-form gamma * sign * (second-moment column), exact at any n.  Once
-    the L1 mass crosses the cap the row flips permanently to dense mode, and
-    after every append its correlations are recomputed from its net by
-    refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
-    A row finishes when it converges (largest violation at most gamma), when
-    it stalls, or unconverged at the round cap, where it may not append.
-
-    Columns.  The second-moment matrix keeps slot 0 apart from the voters,
-    so in linear mode an append on slot 0 moves only corr_0 and a voter
-    append moves only the voter slots.  Rows with the same target voter
-    part A[1:] (a grid column, or any rows whose A[1:] bytes agree) share one
-    voter walk: the voter appends the step would make, recorded once per
-    column by _VoterWalks.
-
-    Prefix.  In the first R0 = min(lin_cap, stall_window, cap) rounds no row
-    can go dense, stall or hit the cap (R0 also keeps the recorded walks
-    within _WALK_BYTES).  There a row is the merge of its column's walk with
-    its own slot-0 walk, and it finishes converged at round a* + b*: a* is
-    the number of slot-0 appends its A_0 needs, read once per distinct A_0,
-    and b* the round its column's walk stops.  So a prefix round advances
-    the walks, schedules the rows of each column whose walk stopped, and
-    returns the rows scheduled for it, built from the walk's state at b*;
-    no per-row state moves.  R0 is read at the first step.
-
-    Handoff.  At round R0 the rows still live are replayed through the
-    prefix, round by round with the step's arithmetic, for their voter
-    appends, best and last_improved; their net and corr are rebuilt from
-    the walks, and the full step below runs from there on.  copy_back()
-    replays the same way while the prefix lasts.
-
-    After the prefix the live rows are boosted packed, in grid order, at the
-    front of private working arrays, and every live row has made the same
-    number of appends.  alive, dense and converged are current after every
-    step; net, corr and t are current for finished rows.  run() does not
-    fill in the live rows when a checkpoint stops it: copy_back() does.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        targets: np.ndarray,
-        gamma: float,
-        refresh,
-        *,
-        stall_window: int | None = 512,
-        cap: float = math.inf,
-    ) -> None:
-        self.n = n
-        self.gamma = float(gamma)
-        A = np.asarray(targets, dtype=np.float64)
-        if A.ndim != 2 or A.shape[1] != n + 1:
-            raise ValueError(f"targets must be (G, {n + 1})")
-        self.G = A.shape[0]
-        # degree1_moment_matrix(n): 1 on the diagonal, rho between voters
-        self.rho = pair_correlation(n)
-        self.refresh = refresh
-        self.stall_window = math.inf if stall_window is None else int(stall_window)
-        self.cap = cap
-
-        self.net = np.zeros((self.G, n + 1), dtype=np.int64)
-        self.corr = np.zeros((self.G, n + 1))
-        self.t = np.zeros(self.G, dtype=np.int64)
-        self.alive = np.ones(self.G, dtype=bool)
-        self.converged = np.zeros(self.G, dtype=bool)
-        self.dense = np.zeros(self.G, dtype=bool)
-        # no point clips while the L1 mass of net stays at or below this
-        self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
-
-        # the first _live rows of these hold the live rows, in grid order
-        self._live = self.G
-        self._rounds = 0  # appends made by every live row
-        self._row = np.arange(self.G)  # grid index of each packed row
-        self._A = A.copy()
-        self._net = np.zeros_like(self.net)
-        self._corr = np.zeros_like(self.corr)
-        self._best = np.full(self.G, np.inf)
-        self._last_improved = np.zeros(self.G, dtype=np.int64)
-        self._mass = np.zeros(self.G, dtype=np.int64)
-        self._dense = np.zeros(self.G, dtype=bool)
-        self._flat = np.arange(self.G) * (n + 1)  # offset of each packed row
-        self._r0: int | None = None  # read at the first step
-        self._walk: _VoterWalks | None = None  # set while in the prefix
-
-    def step(self) -> list[int]:
-        """One boosting round for every live row; returns rows that finished."""
-        if self._live == 0:
-            return []
-        if self._r0 is None:
-            self._begin()
-        if self._walk is not None:
-            if self._rounds < self._r0:
-                return self._prefix_step()
-            self._handoff()
-        L, T = self._live, self._rounds
-        viol = self._A[:L] - self._corr[:L]
-        j = np.abs(viol).argmax(axis=1)
-        at = self._flat[:L] + j
-        vj = viol.ravel()[at]
-        v = np.abs(vj)
-        conv = v <= self.gamma
-        improved = v < self._best[:L] - self.gamma / 16.0
-        np.copyto(self._best[:L], v, where=improved)
-        np.copyto(self._last_improved[:L], T, where=improved)
-        done = conv
-        if T >= self.stall_window:
-            done = conv | (~improved & (T - self._last_improved[:L] >= self.stall_window))
-        if T + 1 > self.cap:  # no row may append again: the rest finish as they are
-            done = np.ones_like(conv)
-
-        finished: list[int] = []
-        if done.any():
-            out = np.flatnonzero(done)
-            g = self._row[out]
-            self.net[g] = self._net[out]
-            self.corr[g] = self._corr[out]
-            self.t[g] = T
-            self.converged[g] = conv[out]
-            self.alive[g] = False
-            finished = g.tolist()
-            keep = np.flatnonzero(~done)
-            L = self._live = keep.size
-            if L == 0:
-                return finished
-            # stable compaction; the rows before the first finished one stay
-            first, tail = out[0], keep[out[0] :]
-            for a in (self._row, self._A, self._net, self._corr, self._best,
-                      self._last_improved, self._mass, self._dense):
-                a[first:L] = a[tail]
-            j, vj = j[keep], vj[keep]
-            at = self._flat[:L] + j
-        self._rounds = T + 1
-
-        up = vj > 0
-        net = self._net.ravel()
-        old = net[at]
-        new = old + np.where(up, 1, -1)
-        net[at] = new
-        self._mass[:L] += np.abs(new) - np.abs(old)
-
-        # corr += gamma * sign * cross[j] by its structure: +-gamma*rho on
-        # every voter slot (+-0 when j = 0), then +-gamma on slot j itself
-        corr = self._corr.ravel()
-        pick = corr[at]
-        f0 = self._corr[:L, 0].copy()  # whole rows add faster than [:, 1:]
-        sgamma = np.where(up, self.gamma, -self.gamma)
-        self._corr[:L] += (sgamma * np.where(j > 0, self.rho, 0.0))[:, None]
-        self._corr[:L, 0] = f0
-        corr[at] = pick + sgamma
-
-        # the L1 mass is at most the number of appends, T + 1
-        if T + 1 > self.lin_cap:
-            over = self._mass[:L] > self.lin_cap
-            flip = over & ~self._dense[:L]
-            if flip.any():
-                self._dense[:L] |= over
-                self.dense[self._row[:L][flip]] = True
-        dense = np.flatnonzero(self._dense[:L])
-        if dense.size:
-            self._corr[dense] = self.refresh(self._net[dense])
-        return finished
-
-    def _begin(self) -> None:
-        """Read R0 and, if the prefix is not empty, set up its schedule."""
-        cols: dict[bytes, int] = {}
-        col = np.array([cols.setdefault(a.tobytes(), len(cols)) for a in self._A[:, 1:]])
-        C = len(cols)
-        r0 = min(self.lin_cap, self.stall_window, self.cap, _WALK_BYTES // (17 * C))
-        R0 = self._r0 = math.floor(r0)
-        if R0 <= 0:
-            return
-        rep = np.empty(C, dtype=np.int64)
-        rep[col] = np.arange(self.G)  # any row of each column
-        self._walk = _VoterWalks(self._A[rep, 1:], self.gamma, self.rho, R0)
-        self._col = col
-        self._up = (self._A[:, 0] > 0).astype(np.intp)
-        self._astar = self._walk.slot0_rounds(self._A[:, 0])
-        # the round each row finishes at, once its column's walk has stopped
-        self._due = np.full(self.G, -1, dtype=np.int64)
-
-    def _prefix_step(self) -> list[int]:
-        """One round of the prefix: the column walks advance, scheduled rows finish.
-
-        A row appends on slot 0 when |viol_0| is at least its column walk's
-        next voter maximum (argmax keeps the first index on a tie), else it
-        takes the walk's next voter append.  So it makes at most a* slot-0
-        and b* voter appends, and finishes converged at round a* + b*, where
-        b* is the round its column's walk stops.
-        """
-        T, walk = self._rounds, self._walk
-        stopped = walk.advance(T)
-        if stopped is not None:
-            hit = stopped[self._col]
-            self._due[hit] = self._astar[hit] + T
-        g = (self._due == T).nonzero()[0]
-        if g.size:
-            a, c, up = self._astar[g], self._col[g], self._up[g]
-            self.net[g, 0] = np.where(up, a, -a)
-            self.net[g, 1:] = walk.net[c]
-            self.corr[g, 0] = walk.c0[up, a]
-            self.corr[g, 1:] = walk.corr[c]
-            self.t[g] = T
-            self.converged[g] = True
-            self.alive[g] = False
-            self._live -= g.size
-        if self._live:
-            self._rounds = T + 1
-        return g.tolist()
-
-    def _merge(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """b, best and last_improved of live prefix rows after the rounds so far.
-
-        Replays the prefix round by round with the step's arithmetic: v is
-        the larger of |viol_0| and the column walk's voter maximum after b
-        voter appends, and a tie goes to slot 0.  A live row has not
-        converged in any of these rounds.
-        """
-        gamma, R0 = self.gamma, self._r0
-        vmax = self._walk.vmax.ravel()
-        k = self._col[rows] * R0  # flat index of the next voter maximum
-        a = self._up[rows] * (R0 + 1)  # flat index of corr_0 in walk.c0
-        a0, c0 = self._A[rows, 0], self._walk.c0.ravel()
-        best = np.full(rows.size, np.inf)
-        last = np.zeros(rows.size, dtype=np.int64)
-        for T in range(self._rounds):
-            m = vmax[k]
-            v0 = np.abs(a0 - c0[a])
-            voter = v0 < m
-            v = np.maximum(v0, m)
-            improved = v < best - gamma / 16.0
-            np.putmask(best, improved, v)
-            np.putmask(last, improved, T)
-            k += voter
-            a += ~voter
-        return k - self._col[rows] * R0, best, last
-
-    def _replay(self, rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """net and corr of live prefix rows that have made b voter appends."""
-        a, up = self._rounds - b, self._up[rows]
-        net = np.empty((rows.size, self.n + 1), dtype=np.int64)
-        corr = np.empty((rows.size, self.n + 1))
-        net[:, 0] = np.where(up, a, -a)
-        corr[:, 0] = self._walk.c0[up, a]
-        net[:, 1:], corr[:, 1:] = self._walk.states(self._col[rows], b)
-        return net, corr
-
-    def _handoff(self) -> None:
-        """Pack the live rows into the working arrays and leave the prefix."""
-        live = np.flatnonzero(self.alive)
-        L = live.size
-        b, self._best[:L], self._last_improved[:L] = self._merge(live)
-        net, corr = self._replay(live, b)
-        self._row[:L] = live
-        self._A[:L] = self._A[live]
-        self._net[:L] = net
-        self._corr[:L] = corr
-        self._mass[:L] = np.abs(net).sum(axis=1)
-        self._walk = None
-
-    def run(self, checkpoint=None) -> None:
-        """Step until every row has finished or checkpoint stops the run.
-
-        Every _CHECK_EVERY rounds the rows finished since the last call go to
-        checkpoint; a True return stops the run there, and the live rows'
-        net, corr and t are left for copy_back() to fill in.
-        """
-        pending: list[int] = []
-        k = 0
-        while self._live:
-            pending.extend(self.step())
-            k += 1
-            if checkpoint is not None and k % _CHECK_EVERY == 0 and pending:
-                if checkpoint(pending):
-                    return
-                pending = []
-        if checkpoint is not None and pending:
-            checkpoint(pending)
-
-    def copy_back(self) -> None:
-        """Make net, corr and t current for the still-live rows too."""
-        if self._walk is not None:
-            g = np.flatnonzero(self.alive)
-            if g.size:
-                self.net[g], self.corr[g] = self._replay(g, self._merge(g)[0])
-        else:
-            g = self._row[: self._live]
-            self.net[g] = self._net[: self._live]
-            self.corr[g] = self._corr[: self._live]
-        self.t[g] = self._rounds
-
-
-class _VoterWalks:
-    """The voter walks of the grid columns, one linear-mode voter append per round.
-
-    advance(T) records each walk's T-th voter append, with the float
-    operations of _GridEngine.step on the voter slots: the largest voter
-    violation before it (vmax), the slot and the sign.  A walk whose largest
-    violation is at most gamma has reached b* and stops there (sign 0), so
-    net and corr hold each stopped walk's state at b*.  c0 holds the two
-    slot-0 walks, one per sign of A_0.
-    """
-
-    def __init__(self, targets: np.ndarray, gamma: float, rho: float, rounds: int) -> None:
-        self.C, self.n = targets.shape
-        self.targets = targets
-        self.gamma = gamma
-        self.rho = rho
-        self.net = np.zeros((self.C, self.n), dtype=np.int64)
-        self.corr = np.zeros((self.C, self.n))
-        self._flat = np.arange(self.C) * self.n
-        self.vmax = np.empty((self.C, rounds))
-        self.slot = np.empty((self.C, rounds), dtype=np.intp)
-        self.sign = np.zeros((self.C, rounds), dtype=np.int8)
-        self._moving = np.ones(self.C, dtype=bool)
-        # while |viol_0| > gamma a slot-0 append moves corr_0 by gamma toward
-        # A_0 without crossing it, so after a of them corr_0 is the step's
-        # sequential sum of a copies of +gamma (A_0 > 0) or -gamma:
-        # c0[A_0 > 0, a]
-        self.c0 = np.zeros((2, rounds + 1))
-        np.cumsum(np.full(rounds, -gamma), out=self.c0[0, 1:])
-        np.cumsum(np.full(rounds, gamma), out=self.c0[1, 1:])
-
-    def slot0_rounds(self, a0: np.ndarray) -> np.ndarray:
-        """a*: the slot-0 appends until |A_0 - corr_0| <= gamma (R0 if none before).
-
-        Before a*, A_0 - corr_0 keeps the sign of A_0, so a* is the first a
-        at which +-(A_0 - corr_0) <= gamma.  That test only turns from false
-        to true as a grows, so a binary search finds it, once per distinct
-        A_0.
-        """
-        R0 = self.c0.shape[1] - 1
-        vals = np.sort(a0)
-        vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]
-        up = (vals > 0).astype(np.intp)
-        sgn = np.where(up, 1.0, -1.0)
-        lo, hi = np.zeros(vals.size, dtype=np.intp), np.full(vals.size, R0)
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            ok = sgn * (vals - self.c0[up, mid]) <= self.gamma
-            hi = np.where(ok, mid, hi)
-            lo = np.where(ok, lo, np.minimum(mid + 1, hi))
-        return lo[np.searchsorted(vals, a0)]
-
-    def advance(self, T: int) -> np.ndarray | None:
-        """Record round T; returns the mask of walks that stop at T (b* = T), if any."""
-        if not self._moving.any():
-            return None
-        viol = self.targets - self.corr
-        av = np.abs(viol)
-        j = av.argmax(axis=1)
-        at = self._flat + j
-        m = av.ravel()[at]
-        self.vmax[:, T] = m
-        move = m > self.gamma
-        stopped = self._moving > move  # moving before, not now
-        stopped = stopped if stopped.any() else None
-        self._moving = move
-        if not move.any():
-            return stopped
-        # +-0.0 on a stopped walk: no corr of a walk is -0.0, so it stays put
-        sgamma = np.copysign(self.gamma, viol.ravel()[at]) * move
-        self.slot[:, T] = j
-        self.sign[:, T] = np.sign(sgamma)
-        pick = self.corr.ravel()[at]
-        self.corr += (sgamma * self.rho)[:, None]
-        self.corr.ravel()[at] = pick + sgamma
-        self.net.ravel()[at] += self.sign[:, T]
-        return stopped
-
-    def states(self, col: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Voter net and corr of walk col[i] after b[i] appends.
-
-        Each voter slot of a walk only ever adds the round's delta (sgamma on
-        the appended slot, sgamma * rho on the others), so its values are a
-        running sum, and a sequential cumsum from the same start gives the
-        same floats.  The rounds go in blocks of about _subsetdp._BLOCK_BYTES.
-        """
-        C, n = self.C, self.n
-        net = np.empty((b.size, n), dtype=np.int64)
-        corr = np.empty((b.size, n))
-        cnet = np.zeros((1, C, n), dtype=np.int64)
-        ccorr = np.zeros((1, C, n))
-        block = max(1, _subsetdp._BLOCK_BYTES // (16 * C * n))
-        cc = np.arange(C)[None, :]
-        lo, top = 0, int(b.max())
-        while True:
-            hi = min(lo + block, top)
-            s = self.sign[:, lo:hi].T
-            sgamma = s * self.gamma
-            Dn = np.zeros((hi - lo + 1, C, n), dtype=np.int64)
-            Dc = np.empty((hi - lo + 1, C, n))
-            Dn[:1], Dc[:1] = cnet, ccorr
-            Dc[1:] = (sgamma * self.rho)[:, :, None]
-            rr = np.arange(1, hi - lo + 1)[:, None]
-            j = self.slot[:, lo:hi].T
-            Dn[rr, cc, j] = s
-            Dc[rr, cc, j] = sgamma
-            np.cumsum(Dn, axis=0, out=Dn)
-            np.cumsum(Dc, axis=0, out=Dc)
-            sel = np.flatnonzero((b >= lo) & (b <= hi))
-            net[sel] = Dn[b[sel] - lo, col[sel]]
-            corr[sel] = Dc[b[sel] - lo, col[sel]]
-            if hi == top:
-                return net, corr
-            cnet, ccorr = Dn[-1:], Dc[-1:]
-            lo = hi
-
-
-def _support_refresh(n: int, gamma: float):
-    """Dense refresh by the support table, in row chunks of about _subsetdp._BLOCK_BYTES.
-
-    The float32 scores are exact integers while the L1 mass of a net stays
-    below 2^24; only the clipped average is rounded, far inside the xi/16
-    oracle budget.
-    """
-    support = enumerate_support(n)
-    ext = np.ones((support.shape[0], n + 1), dtype=np.float32)
-    ext[:, 1:] = support
-    XT = np.ascontiguousarray(ext.T)
-    Wmu32 = (mu_weights(n)[:, None] * ext).astype(np.float32)
-    g32 = np.float32(gamma)
-
-    def refresh(nets: np.ndarray) -> np.ndarray:
-        chunk = max(1, _subsetdp._BLOCK_BYTES // (4 * support.shape[0]))
-        out = np.empty(nets.shape)
-        for s in range(0, len(nets), chunk):
-            H = nets[s : s + chunk].astype(np.float32) @ XT
-            H *= g32
-            np.clip(H, -1.0, 1.0, out=H)
-            out[s : s + chunk] = H @ Wmu32
-        return out
-
-    return refresh
-
-
-def _table_refresh(n: int, gamma: float):
-    """Dense refresh from clip tables, one per distinct sorted voter net (_subsetdp)."""
-    pmf = mu_pmf_points(n)
-    return lambda nets: _subsetdp.mu_correlations_nets(nets, gamma, pmf)
 
 
 # ---------------------------------------------------------------------------
@@ -734,10 +259,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
             "as monotone non-constant anyway",
             stacklevel=3,
         )
-    bound = 64.0 / xi**2 if xi**2 > 0 else math.inf
-    if not math.isfinite(bound):
-        raise ValueError(f"xi = {xi:g} is too small: the round cap 64/xi^2 is not finite")
-    cap = math.ceil(bound)
+    cap = round_cap(xi)
     _check_grid_budget(cfg.grid_step, n)
     axis = _grid_axis(cfg.grid_step)
     A, f0s, means = _target_rows(target, nu, axis)
@@ -764,8 +286,7 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int,
     """
     n = target.size
     gamma = xi / 2.0
-    refresh = _table_refresh(n, gamma) if n > _ENUM_CAP else _support_refresh(n, gamma)
-    engine = _GridEngine(n, A, gamma, refresh, stall_window=cfg.stall_window, cap=cap)
+    engine = _GridEngine(n, A, gamma, _dense_refresh(n, gamma), stall_window=cfg.stall_window, cap=cap)
     d = np.full(A.shape[0], np.inf)
     tables = _SwingTables()  # freed when the solve returns
 
@@ -800,16 +321,13 @@ def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]
         raise ValueError(f"baseline enumeration is capped at n=5, got {n}")
     if max_weight > 6:
         raise ValueError(f"baseline weight cap is 6, got {max_weight}")
-    cube = enumerate_cube(n).astype(np.float64)
-    A = truthtable_coefficient_matrix(n)
     best: tuple | None = None
     for w in itertools.product(range(max_weight + 1), repeat=n):
         wv = np.array(w, dtype=np.float64)
-        vals = cube @ wv
         tot = int(wv.sum())
         thetas = np.arange(-2 * tot, 2 * tot + 1) * 0.5
-        signs = np.where(vals[None, :] >= thetas[:, None], 1.0, -1.0)
-        ds = np.linalg.norm(signs @ A - target[None, :], axis=1)
+        # the game of a net (-theta, w) is [w.x >= theta]
+        ds = _exact_d_enum_batch(np.column_stack([-thetas, np.tile(wv, (thetas.size, 1))]), target, n)
         i = int(np.argmin(ds))
         if best is None or ds[i] < best[0]:
             best = (float(ds[i]), wv, float(thetas[i]))

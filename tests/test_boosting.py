@@ -6,7 +6,6 @@ import pytest
 from shapley_forge.boosting import (
     BoostState,
     BoostTargets,
-    IterationCapError,
     boost,
     exact_dp_oracle,
     exact_enum_oracle,
@@ -24,7 +23,7 @@ def _realizable_targets(rng, n: int, xi: float) -> BoostTargets:
 
 
 def _append(state: BoostState, j: int, sign: int) -> None:
-    state.counts[0 if sign > 0 else 1, j] += 1
+    state.net[j] += sign
     state.t += 1
 
 
@@ -75,7 +74,7 @@ def test_every_appended_literal_was_a_real_violation(rng):
     oracle, seen = exact_enum_oracle(5), []
 
     def watching(state):
-        seen.append((state.counts.copy(), oracle(state)))
+        seen.append((state.net.copy(), oracle(state)))
         return seen[-1][1]
 
     res = boost(targets, watching)
@@ -86,7 +85,7 @@ def test_every_appended_literal_was_a_real_violation(rng):
         j = int(np.argmax(np.abs(viol)))
         assert abs(viol[j]) > targets.gamma
         step = np.zeros_like(before)
-        step[0 if viol[j] > 0 else 1, j] = 1
+        step[j] = 1 if viol[j] > 0 else -1
         assert np.array_equal(after - before, step)
 
 
@@ -101,11 +100,12 @@ def test_no_cancellation_of_appends(rng):
         assert int(np.abs(res.state.net).sum()) == res.iterations
 
 
-def test_iteration_cap_raises():
+def test_iteration_cap_returns_unconverged():
     n = 4
     a = np.full(n + 1, 1.0)  # jointly unreachable correlations
-    with pytest.raises(IterationCapError):
-        boost(BoostTargets(a=a, xi=0.1), exact_enum_oracle(n), cap=25)
+    res = boost(BoostTargets(a=a, xi=0.1), exact_enum_oracle(n), cap=25)
+    assert not res.converged
+    assert res.iterations == res.state.t == 25
 
 
 def test_stall_window_stops_gracefully():
@@ -137,9 +137,7 @@ def test_dp_oracle_matches_enumeration_on_sign_games(rng):
             theta = float(rng.integers(-4, 5)) - 0.5
             g = VotingGame(w.astype(float), theta)
             net = np.concatenate([[-2 * theta], 2 * w]).astype(np.int64)
-            state = BoostState(n=n, gamma=1.0)
-            state.counts[0] = np.maximum(net, 0)
-            state.counts[1] = np.maximum(-net, 0)
+            state = BoostState(n=n, gamma=1.0, net=net)
             got = exact_dp_oracle(n)(state)
             assert np.allclose(got, exact_correlations(ltf_fn(g), n), atol=1e-12)
 
@@ -171,14 +169,19 @@ def test_targets_validation():
         BoostTargets(a=np.zeros((2, 2)), xi=0.1)
 
 
+@pytest.mark.parametrize("xi", [1e-160, 1e-200])
+def test_targets_refuse_a_round_cap_that_is_not_finite(xi):
+    # 64/xi^2 overflows at 1e-160, and xi^2 underflows to 0 at 1e-200
+    with pytest.raises(ValueError, match="round cap"):
+        BoostTargets(a=np.zeros(4), xi=xi)
+
+
 @pytest.mark.parametrize("n", [20, 70])
 def test_dp_oracle_is_exact_on_unclipped_nets(rng, n):
     # when gamma * |w.x + c0| <= 1 everywhere nothing clips, and the
     # correlations are gamma times the second moments times the net;
     # at n = 70 weights in {-1, 0, 1} put counts past int64 in one cell
     net = rng.integers(-1, 2, size=n + 1)
-    state = BoostState(n=n, gamma=1.0 / int(np.abs(net).sum()))
-    state.counts[0] = np.maximum(net, 0)
-    state.counts[1] = np.maximum(-net, 0)
+    state = BoostState(n=n, gamma=1.0 / int(np.abs(net).sum()), net=net)
     want = state.gamma * (degree1_moment_matrix(n) @ net)
     assert np.allclose(exact_dp_oracle(n)(state), want, rtol=0, atol=1e-12)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from reference import LockstepEngine, RoundCapError
-from shapley_forge import _subsetdp, solver
+from shapley_forge import _subsetdp, boosting, solver
+from shapley_forge.boosting import _GridEngine, _support_refresh
 from shapley_forge.games import QuotaGame
 from shapley_forge.indices import shapley_exact_dp
 from shapley_forge.mu import degree1_moment_matrix
-from shapley_forge.solver import _GridEngine, _support_refresh
 
 STATE = ("net", "corr", "t", "converged", "alive", "dense")
 
@@ -106,7 +106,7 @@ def test_packed_engine_early_stop_matches_reference():
     while ref.alive.any():
         pending.extend(ref.step())
         k += 1
-        if k % solver._CHECK_EVERY == 0 and pending:
+        if k % boosting._CHECK_EVERY == 0 and pending:
             if stop_at_second(pending):
                 break
             pending = []
@@ -200,7 +200,7 @@ def test_prefix_early_stop_inside_the_prefix_matches_reference(monkeypatch, repl
     eng, ref = _pair(n, A, xi / 2.0, lin_cap=10**9, stall_window=None)
     got = []
     eng.run(lambda rows: got.append(list(rows)) or True)
-    for _ in range(solver._CHECK_EVERY):
+    for _ in range(boosting._CHECK_EVERY):
         ref.step()
     assert eng._rounds < _prefix_rounds(eng)
     assert ref.alive.any() and np.array_equal(eng.alive, ref.alive)
@@ -375,7 +375,7 @@ def _solve_with_both_engines(monkeypatch, n, seed):
             while self.alive.any():
                 pending.extend(self.step())
                 k += 1
-                if k % solver._CHECK_EVERY == 0 and pending:
+                if k % boosting._CHECK_EVERY == 0 and pending:
                     if checkpoint(pending):
                         return
                     pending = []

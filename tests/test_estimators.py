@@ -49,13 +49,6 @@ def test_config_rejects_non_finite_gamma_and_negative_seed(kwargs):
         EstimateConfig(**kwargs)
 
 
-def test_budget_guard():
-    g = VotingGame(np.ones(5), 0.0)
-    cfg = EstimateConfig(gamma=0.01, delta=0.01, max_samples=100)
-    with pytest.raises(ValueError):
-        estimate_correlations(ltf_fn(g), 5, cfg)
-
-
 def test_correlation_estimates_hit_tolerance():
     g = VotingGame(np.ones(5), 0.0)
     exact = exact_correlations(ltf_fn(g), 5)

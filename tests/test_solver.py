@@ -7,6 +7,9 @@ from shapley_forge import _subsetdp, solver
 from shapley_forge.boosting import (
     BoostState,
     BoostTargets,
+    _GridEngine,
+    _support_refresh,
+    _table_refresh,
     boost,
     exact_dp_oracle,
     exact_enum_oracle,
@@ -23,9 +26,6 @@ from shapley_forge.mu import exact_correlations
 from shapley_forge.solver import (
     SolveConfig,
     _exact_d_dp_batch,
-    _GridEngine,
-    _support_refresh,
-    _table_refresh,
     exhaustive_baseline,
     solve_is,
     solve_isbw,
@@ -47,8 +47,7 @@ def _oracle_refresh(n: int, gamma: float, oracle):
     """Dense refresh by one boosting-oracle call per row."""
 
     def refresh(nets: np.ndarray) -> np.ndarray:
-        counts = (np.stack([np.maximum(net, 0), np.maximum(-net, 0)]) for net in nets)
-        return np.stack([oracle(BoostState(n, gamma, counts=c)) for c in counts])
+        return np.stack([oracle(BoostState(n, gamma, net=net)) for net in nets])
 
     return refresh
 
@@ -72,6 +71,15 @@ def test_engine_dense_reference_replays_scalar_boost(rng):
     assert int(eng.t[0]) == scalar.iterations
     assert np.array_equal(eng.net[0], scalar.state.net)
     assert np.abs(eng.corr[0] - scalar.correlations).max() <= 1e-12
+
+    # capped before it converges, the row finishes unconverged in both loops
+    cap = scalar.iterations // 2
+    capped = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), cap=cap, stall_window=4096)
+    eng = _dense_reference(n, a[None, :], gamma, stall_window=4096, cap=cap)
+    eng.run()
+    assert not capped.converged and not eng.converged[0]
+    assert int(eng.t[0]) == capped.iterations == cap
+    assert np.array_equal(eng.net[0], capped.state.net)
 
 
 def test_engine_fast_path_matches_dense_reference(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from shapley_forge import _subsetdp, solver
+from shapley_forge import _subsetdp, boosting
 from shapley_forge._subsetdp import classical_pivot_dp, leave_one_out, subset_count_table
 from shapley_forge.boosting import BoostState, exact_dp_oracle
 from shapley_forge.mu import mu_pmf
@@ -148,12 +148,11 @@ def test_table_refresh_matches_the_dp_oracle_and_per_voter_sums(n, rng, monkeypa
     height = 2 * n + 2
     gamma = 1.0 / height
     nets = _rows_with_every_window(rng, n, height)
-    got = solver._table_refresh(n, gamma)(nets)
+    got = boosting._table_refresh(n, gamma)(nets)
     # one row in the engine gives the DP oracle's floats, bit for bit
     oracle = exact_dp_oracle(n)
     for net, row in zip(nets, got):
-        counts = np.stack([np.maximum(net, 0), np.maximum(-net, 0)])
-        assert np.array_equal(oracle(BoostState(n, gamma, counts=counts)), row)
+        assert np.array_equal(oracle(BoostState(n, gamma, net=net)), row)
     # and is within 1e-12 of the exact per-voter sums
     pmf = np.array([mu_pmf(n, k) for k in range(n + 1)])
     for net, row in [*zip(nets[::3], got[::3]), *zip(nets[2::3], got[2::3])]:
@@ -161,6 +160,6 @@ def test_table_refresh_matches_the_dp_oracle_and_per_voter_sums(n, rng, monkeypa
         assert np.allclose(row, want, rtol=0, atol=1e-12), net
     # tables built one at a time and read one row per gather block
     monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)
-    refresh = solver._table_refresh(n, gamma)
+    refresh = boosting._table_refresh(n, gamma)
     assert np.array_equal(refresh(nets), got)
     assert np.array_equal(refresh(nets[::-1]), got[::-1])
