@@ -4,7 +4,9 @@ Everything here counts subsets T of the voter set, binned by size k and by
 integer weight sum u; offset indexing maps a possibly negative u onto column
 u + off.  Counts are exact at every n: a table over n <= 62 voters holds
 int64 (every count is at most C(n, k) < 2^62), a larger one Python ints.
-Tables past a byte budget are refused before anything is allocated.
+Tables past a byte budget are refused before anything is allocated.  Only
+the rows k <= n/2 are counted, each voter by one flat add between two
+buffers; complements mirror them into the rows above (subset_count_table).
 
 Step profiles: the counts over the voters other than i unroll to G_i[k, u]
 = sum_j (-1)^j F[k - j, u - j*w_i], so for a step phi of the +1 set's sum,
@@ -64,7 +66,16 @@ def check_table_budget(n: int, width: int) -> None:
 
 
 def subset_count_table(weights) -> tuple[np.ndarray, int]:
-    """F[k, u + off] = number of k-subsets with weight sum u."""
+    """F[k, u + off] = number of k-subsets with weight sum u.
+
+    Only rows k <= n // 2 are counted; the complement of a k-subset of sum u
+    is an (n - k)-subset of sum total - u, so F[n - k, c] = F[k, W - 1 - c]
+    fills the rest.  Flat, with row stride W, adding voter w is
+    F'[j] = F[j] + F[j - (W + w)]: one 1-D add over the rows and columns
+    reached so far, from one buffer into the other.  A read that leaves its
+    row lands on a column no voter set reaches, so it reads 0; only the
+    reads left of the buffer, F[0, c - w] for c < w, are skipped.
+    """
     ws = _int_weights(weights).tolist()
     n = len(ws)
     lo = sum(v for v in ws if v < 0)
@@ -73,12 +84,24 @@ def subset_count_table(weights) -> tuple[np.ndarray, int]:
     width = hi - lo + 1
     check_table_budget(n, width)
     F = np.zeros((n + 1, width), dtype=np.int64 if n <= _INT64_MAX_N else object)
-    F[0, off] = 1
+    h = n // 2
+    # rows 0..h of F and a spare buffer take turns; the last voter writes F
+    bufs = [F[: h + 1].reshape(-1), np.zeros((h + 1) * width, dtype=F.dtype)]
+    if n % 2:
+        bufs.reverse()
+    for buf in bufs:
+        buf[off] = 1
     a = b = off  # columns reachable by the voters added so far
-    for i, wi in enumerate(ws):
-        # rows past i are still zero; numpy buffers the overlapping operands
-        F[1 : i + 2, a + wi : b + wi + 1] += F[: i + 1, a : b + 1]
+    for i, wi in enumerate(ws if h else ()):  # one voter: row 0 and its mirror
+        src, dst = bufs[i % 2], bufs[1 - i % 2]
         a, b = a + min(wi, 0), b + max(wi, 0)
+        s = width + wi
+        start, stop = width + a, min(i + 1, h) * width + b + 1
+        if start < s:  # row 1, columns a..wi-1: nothing to add
+            dst[start:s] = src[start:s]
+            start = s
+        np.add(src[start:stop], src[start - s : stop - s], out=dst[start:stop])
+    F[h + 1 :] = F[n - h - 1 :: -1, ::-1]
     return F, off
 
 
@@ -301,6 +324,14 @@ def _diagonals(n: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _comb_row(n: int) -> np.ndarray:
+    """C(n-1, k) for k < n, in the dtype of a subset table over n voters."""
+    out = np.array([math.comb(n - 1, k) for k in range(n)], dtype=np.int64 if n <= _INT64_MAX_N else object)
+    out.setflags(write=False)
+    return out
+
+
 def _alternating(X: np.ndarray, n: int, c: int) -> np.ndarray:
     """c times (Psi_0, Psi_1) of values X[q] on the cells of _diagonals(n), per row q.
 
@@ -334,7 +365,7 @@ def _window_sums(w: np.ndarray, ts, table=None):
     base = r * (width + 1)
     rows = max(1, _BLOCK_BYTES // (L * 24))
     # V's row totals C(n, r) sum to Psi_0 = Psi_1 = C(n-1, k): phi = +1 throughout
-    totals = np.array([math.comb(n - 1, k) for k in range(n)], dtype=P.dtype)
+    totals = _comb_row(n)
     out = np.empty((T * G, 2, n), dtype=P.dtype)
     for q0 in range(0, T * G, rows):
         q = slice(q0, q0 + rows)
@@ -363,8 +394,7 @@ def _step_indices(Psi: np.ndarray) -> np.ndarray:
     n = Psi.shape[2]
     D = Psi[:, 1] - Psi[:, 0]
     if D.dtype == object:  # divide exactly: the coefficients can underflow
-        combs = np.array([math.comb(n - 1, k) for k in range(n)], dtype=object)
-        return (D / combs[:, None]).astype(np.float64).sum(axis=1) / n
+        return (D / _comb_row(n)[:, None]).astype(np.float64).sum(axis=1) / n
     return np.stack([_pivot_coef(n) @ Dt for Dt in D])
 
 

@@ -99,8 +99,13 @@ def lbf_values(lbf: LinearBoundedFunction, X: np.ndarray) -> np.ndarray:
 
 
 def ltf_fn(game: VotingGame):
-    """Batch oracle closure for a voting game."""
-    return lambda X: ltf_values(game, X)
+    """Batch oracle closure for a voting game; its _game attribute holds the game."""
+
+    def fn(X):
+        return ltf_values(game, X)
+
+    fn._game = game
+    return fn
 
 
 def lbf_fn(lbf: LinearBoundedFunction):

@@ -162,12 +162,15 @@ def exact_mu_expectation(fn, n: int) -> float:
 
 def exact_correlations(fn, n: int) -> np.ndarray:
     """(n+1,) vector: entry 0 is E[f], entry i is E[f x_i]."""
-    support = enumerate_support(n)
-    vals = blocked_values(fn, support)
-    weighted = mu_weights(n) * vals
+    # weighted over the whole cube, in cube order: x_j is +1 on the rows
+    # whose index has bit j set, -1 on the rest
+    weighted = np.zeros(2**n)
+    weighted[1:-1] = mu_weights(n) * blocked_values(fn, enumerate_support(n))
     out = np.empty(n + 1)
     out[0] = weighted.sum()
-    out[1:] = weighted @ support
+    for j in range(n):
+        halves = weighted.reshape(-1, 2, 1 << j)
+        out[j + 1] = halves[:, 1].sum() - halves[:, 0].sum()
     return out
 
 

@@ -321,15 +321,21 @@ def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]
         raise ValueError(f"baseline enumeration is capped at n=5, got {n}")
     if max_weight > 6:
         raise ValueError(f"baseline weight cap is 6, got {max_weight}")
-    best: tuple | None = None
-    for w in itertools.product(range(max_weight + 1), repeat=n):
-        wv = np.array(w, dtype=np.float64)
-        tot = int(wv.sum())
+    vecs = np.array(list(itertools.product(range(max_weight + 1), repeat=n)), dtype=np.float64)
+    tots = vecs.sum(axis=1).astype(np.int64)
+    best_d = np.empty(len(vecs))
+    best_theta = np.empty(len(vecs))
+    # vectors of one total share their thresholds, so each total is one batch
+    for tot in np.unique(tots).tolist():
+        rows = np.flatnonzero(tots == tot)
         thetas = np.arange(-2 * tot, 2 * tot + 1) * 0.5
         # the game of a net (-theta, w) is [w.x >= theta]
-        ds = _exact_d_enum_batch(np.column_stack([-thetas, np.tile(wv, (thetas.size, 1))]), target, n)
-        i = int(np.argmin(ds))
-        if best is None or ds[i] < best[0]:
-            best = (float(ds[i]), wv, float(thetas[i]))
-    assert best is not None
-    return VotingGame(best[1], best[2]), best[0]
+        nets = np.empty((rows.size, thetas.size, n + 1))
+        nets[:, :, 0] = -thetas
+        nets[:, :, 1:] = vecs[rows, None, :]
+        ds = _exact_d_enum_batch(nets.reshape(-1, n + 1), target, n).reshape(rows.size, thetas.size)
+        i = np.argmin(ds, axis=1)  # the lowest of a vector's best thresholds
+        best_d[rows] = ds[np.arange(rows.size), i]
+        best_theta[rows] = thetas[i]
+    g = int(np.argmin(best_d))  # the earliest of the best vectors
+    return VotingGame(vecs[g], float(best_theta[g])), float(best_d[g])

@@ -12,9 +12,15 @@ import pytest
 
 from shapley_forge import _subsetdp
 from shapley_forge.estimators import estimate_shapley_fixed
-from shapley_forge.games import LinearBoundedFunction, VotingGame, lbf_fn, ltf_fn
+from shapley_forge.games import LinearBoundedFunction, VotingGame, lbf_fn, ltf_fn, ltf_values
 from shapley_forge.indices import shapley_exact_truthtable, truthtable_coefficient_matrix
-from shapley_forge.mu import enumerate_cube, exact_correlations, exact_mu_expectation
+from shapley_forge.mu import (
+    enumerate_cube,
+    enumerate_support,
+    exact_correlations,
+    exact_mu_expectation,
+    mu_weights,
+)
 
 N = 10
 
@@ -62,9 +68,20 @@ def _peak_bytes(call) -> int:
 
 
 def test_order_sweep_works_in_a_few_blocks():
-    # 20,000 orders at n = 16 as one array would cast 20000 * 17 * 16 float64s
-    fn = ltf_fn(VotingGame(np.arange(1.0, 17.0), 3.5))
-    assert _peak_bytes(lambda: estimate_shapley_fixed(fn, 16, 20000)) <= 2 * _subsetdp._BLOCK_BYTES
+    # 20,000 orders at n = 16 as one array would cast 20000 * 17 * 16 float64s.
+    # ltf_fn of an integer-weight game takes the prefix-sum sweep, and any
+    # other evaluator the generic one, which builds and scores every prefix
+    game = VotingGame(np.arange(1.0, 17.0), 3.5)
+    for fn in (ltf_fn(game), lambda X: ltf_values(game, X)):
+        assert _peak_bytes(lambda: estimate_shapley_fixed(fn, 16, 20000)) <= 2 * _subsetdp._BLOCK_BYTES
+
+
+def test_exact_correlations_work_in_a_few_blocks():
+    n = 16
+    fn = ltf_fn(VotingGame(np.arange(1.0, n + 1.0), 3.5))
+    enumerate_support(n)  # the cached support and its weights are not working memory
+    mu_weights(n)
+    assert _peak_bytes(lambda: exact_correlations(fn, n)) <= 2 * _subsetdp._BLOCK_BYTES
 
 
 def test_truthtable_works_in_a_few_blocks():

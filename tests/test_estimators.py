@@ -11,7 +11,8 @@ from shapley_forge.estimators import (
     estimate_shapley_fixed,
     shapley_sample_count,
 )
-from shapley_forge.games import VotingGame, ltf_fn
+from shapley_forge import games
+from shapley_forge.games import LinearBoundedFunction, VotingGame, lbf_fn, ltf_fn, ltf_values
 from shapley_forge.indices import shapley_exact_truthtable
 from shapley_forge.mu import exact_correlations
 
@@ -103,3 +104,52 @@ def test_estimators_work_on_bounded_functions():
     cfg = EstimateConfig(gamma=0.08, delta=0.01, seed=0)
     est, _ = estimate_correlations(fn, 6, cfg)
     assert np.abs(est - exact).max() <= 0.08
+
+
+def _counting(monkeypatch, name):
+    """Count the rows that games.<name> scores from here on."""
+    rows = []
+    inner = getattr(games, name)
+    monkeypatch.setattr(games, name, lambda g, X: rows.append(len(X)) or inner(g, X))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "weights, threshold",
+    [
+        ([3, -2, 0, 5, -1, 4, 0, 2], 1.5),
+        ([1, -1, 2, 0, -2], 0.0),  # the empty and the full prefix score exactly 0
+        ([2, 2, -1, 1, 0, 0], 2.0),  # prefixes that score 2 tie at sign(0) = +1
+        ([-4, -1, -3, -2], -7.0),  # all negative
+        ([0, 0, 0], 0.0),  # every prefix scores 0
+        ([7, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], 3.0),
+    ],
+)
+def test_prefix_sums_match_the_generic_sweep_bit_for_bit(monkeypatch, weights, threshold):
+    game = VotingGame(np.array(weights, dtype=np.float64), threshold)
+    n = game.n
+    generic = estimate_shapley_fixed(lambda X: ltf_values(game, X), n, 3000, seed=9)
+    cfg = EstimateConfig(gamma=0.5, delta=0.1, seed=9)
+    generic_cfg = estimate_shapley(lambda X: ltf_values(game, X), n, cfg)
+    rows = _counting(monkeypatch, "ltf_values")
+    assert np.array_equal(estimate_shapley_fixed(ltf_fn(game), n, 3000, seed=9), generic)
+    est, m = estimate_shapley(ltf_fn(game), n, cfg)
+    assert m == generic_cfg[1] and np.array_equal(est, generic_cfg[0])
+    assert rows == []  # the game's weights were read, its evaluator never called
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[0.5, 1.0, 2.0, 1.0], [1.0, 2.0**51, 2.0**51, 3.0]],  # a fraction; sum |w| = 2^52 + 4
+    ids=["fractional", "past-2^52"],
+)
+def test_other_sign_games_go_through_their_evaluator(monkeypatch, weights):
+    rows = _counting(monkeypatch, "ltf_values")
+    estimate_shapley_fixed(ltf_fn(VotingGame(np.array(weights), 0.25)), 4, 10, seed=1)
+    assert sum(rows) == 10 * 5
+
+
+def test_bounded_functions_go_through_their_evaluator(monkeypatch):
+    rows = _counting(monkeypatch, "lbf_values")
+    estimate_shapley_fixed(lbf_fn(LinearBoundedFunction(np.array([1.0, 2.0, 3.0]), 0.0)), 3, 10, seed=1)
+    assert sum(rows) == 10 * 4

@@ -480,6 +480,13 @@ def test_baseline_finds_exact_matches():
     assert d == pytest.approx(0.0, abs=1e-13)
 
 
+def test_baseline_keeps_the_first_minimizer():
+    # every dictator game of voter 0 ties: the earliest weight vector wins,
+    # then its lowest threshold
+    g, _ = exhaustive_baseline(np.array([2.0, 0.0, 0.0]), max_weight=2)
+    assert g.weights.tolist() == [1.0, 0.0, 0.0] and g.threshold == -0.5
+
+
 def test_baseline_rejects_large_instances():
     with pytest.raises(ValueError):
         exhaustive_baseline(np.zeros(6), max_weight=2)

@@ -1,3 +1,7 @@
+import math
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,12 +55,66 @@ def test_classical_pivot_dp_matches_permutations(rng):
         assert np.all(got[np.asarray(w) == 0] == 0.0)
 
 
+def test_half_table_matches_full_copy_build_on_net_weights(rng):
+    # weights like a boosting net's, where the flat adds wrap across rows most
+    for n in range(1, 21):
+        w = [int(v) for v in rng.integers(-40, 201, size=n)]
+        F, off = subset_count_table(w)
+        want, want_off = _full_copy_table(w)
+        assert off == want_off
+        assert F.tolist() == want.tolist(), w
+
+
+@pytest.mark.parametrize(
+    "w",
+    [[0] * 7, [0] * 8, [-3, -1, -4, -1, -5], [-2, -7, -1, -8], [9], [-2], [0], [5, 0, 0, -5], [1, 30]],
+    ids=["zeros-odd", "zeros-even", "negative-odd", "negative-even", "one", "one-negative", "one-zero",
+         "cancelling", "wide-last"],
+)
+def test_half_table_edge_weights(w):
+    F, off = subset_count_table(w)
+    want, want_off = _full_copy_table(w)
+    assert off == want_off
+    assert F.dtype == np.int64
+    assert F.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [62, 63, 65])
+def test_half_table_across_the_int64_boundary(n, rng):
+    w = [int(v) for v in rng.integers(-1, 3, size=n)]
+    F, off = subset_count_table(w)
+    assert F.dtype == (np.int64 if n <= 62 else object)
+    want, want_off = _full_copy_table(w)
+    assert off == want_off
+    assert F.tolist() == want.tolist()
+    # all ones: the counts are C(n, k), up to C(62, 31) > 2^58 in int64
+    F, off = subset_count_table([1] * n)
+    assert F.tolist() == [[math.comb(n, k) if c == k else 0 for c in range(n + 1)] for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 63])
+def test_table_rows_mirror_by_complement(n, rng):
+    # a k-subset of sum u leaves an (n - k)-subset of sum total - u
+    w = [int(v) for v in rng.integers(-40, 201, size=n)]
+    F, _ = subset_count_table(w)
+    for k in range(n + 1):
+        assert F[n - k].tolist() == F[k, ::-1].tolist()
+
+
 def test_table_over_budget_is_refused_before_allocation():
-    with pytest.raises(ValueError, match="budget"):
-        subset_count_table([10**12, 1, 1])
-    cells = _subsetdp._TABLE_BYTES // 8
-    with pytest.raises(ValueError, match="budget"):
-        subset_count_table([cells // 3, 1])  # 3 x (cells // 3 + 2) cells
+    tracemalloc.start()
+    try:
+        cells = _subsetdp._TABLE_BYTES // 8
+        for w, rows, width in (([10**12, 1, 1], 4, 10**12 + 3), ([cells // 3, 1], 3, cells // 3 + 2)):
+            msg = (
+                f"subset table of {rows} x {width} counts exceeds the "
+                f"{_subsetdp._TABLE_BYTES >> 20} MiB budget; the weights are too large"
+            )
+            with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+                subset_count_table(w)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
