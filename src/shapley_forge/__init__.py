@@ -15,10 +15,6 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "BoostResult": ".boosting",
-    "BoostState": ".boosting",
-    "BoostTargets": ".boosting",
-    "boost": ".boosting",
     "AntiConcReport": ".diagnostics",
     "BiasedDist": ".diagnostics",
     "DistanceReport": ".diagnostics",

@@ -11,13 +11,15 @@ buffers; complements mirror them into the rows above (subset_count_table).
 Step profiles: the counts over the voters other than i unroll to G_i[k, u]
 = sum_j (-1)^j F[k - j, u - j*w_i], so for a step phi of the +1 set's sum,
 -1 below t and +1 from it, Psi_e[k] = sum_u G_i[k, u] phi(u + e*w_i) is
-sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i)
-is read once per cell r + m <= n from the row prefix sums of F, and voters
-of equal weight share it (_window_sums).  Steps serve sign games, quota
-games and solve validation, whose index is sum_k k!(n-1-k)!/n! (Psi_1 -
-Psi_0)[k]; thresholds of one weight vector share its table.  Int64
-arithmetic wraps in a ring, so these sums are exact whenever the true
-value fits, and a Psi is at most C(n-1, k).
+sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i).
+Voter i's index is sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k].  The row totals
+of F cancel in that difference, so what is read is X[r, m], the number of
+r-subsets with v + m*w_i < t: once per cell r + m <= n, from the row prefix
+sums of F, and voters of equal weight share it.  One reader (_step_indices)
+serves sign games, quota games and solve validation; thresholds of one
+weight vector share its table.  Int64 arithmetic wraps in a ring, so these
+sums are exact whenever the true value fits, and Psi_1 - Psi_0 is below
+2 C(n-1, k).
 
 Clipped profiles: the boosting oracle's h = clip(gamma (w.x + c0)) is -1,
 linear, then +1 in the +1 set's sum.  A clip table per weight vector
@@ -310,7 +312,7 @@ def _swing_table(w: np.ndarray) -> tuple[np.ndarray, int, np.ndarray, np.ndarray
 
 @lru_cache(maxsize=None)
 def _diagonals(n: int) -> tuple[np.ndarray, ...]:
-    """The cells (r, m) of V that Psi reads, with (-1)^m and the diagonal starts.
+    """The cells (r, m) that _step_indices reads, with 2 (-1)^m and the diagonal starts.
 
     The n cells m = 0 come first.  Then diagonal d = r + m = 1..n lists its
     cells m = 1..d, from starts[d - 1] on (counted past the m = 0 cells).
@@ -318,7 +320,7 @@ def _diagonals(n: int) -> tuple[np.ndarray, ...]:
     m = np.concatenate([np.zeros(n, dtype=np.int64)] + [np.arange(1, d + 1) for d in range(1, n + 1)])
     r = np.concatenate([np.arange(n)] + [d - np.arange(1, d + 1) for d in range(1, n + 1)])
     d = np.arange(1, n + 1)
-    out = (r, m, 1 - 2 * (m % 2), d * (d - 1) // 2)
+    out = (r, m, 2 - 4 * (m % 2), d * (d - 1) // 2)
     for a in out:
         a.setflags(write=False)
     return out
@@ -332,51 +334,6 @@ def _comb_row(n: int) -> np.ndarray:
     return out
 
 
-def _alternating(X: np.ndarray, n: int, c: int) -> np.ndarray:
-    """c times (Psi_0, Psi_1) of values X[q] on the cells of _diagonals(n), per row q.
-
-    Psi_0[k] = X[k, 0] + D[k] and Psi_1[k] = -D[k + 1], where D[d] sums
-    (-1)^m X[r, m] over diagonal d's cells m >= 1.
-    """
-    _, _, sign, starts = _diagonals(n)
-    Y = X * (c * sign)
-    D = np.add.reduceat(Y[:, n:], starts, axis=1)
-    out = np.stack((Y[:, :n], -D), axis=1)
-    out[:, 0, 1:] += D[:, :-1]
-    return out
-
-
-def _window_sums(w: np.ndarray, ts, table=None):
-    """(Psi, vals, inv): Psi[p, e, k, g] = sum_u G_g[k, u] phi_p(u + e*vals[g]).
-
-    vals are the distinct weights and inv maps each voter to its column g.
-    phi_p is the step -1 below ts[p] and +1 from it; Psi has the table's
-    dtype.  A caller that scores w again may pass its _swing_table(w) as
-    table; only the steps move.
-    """
-    P, off, vals, inv = _swing_table(w) if table is None else table
-    n, width = w.size, P.shape[1] - 1
-    r, m, _, _ = _diagonals(n)
-    # outside [lo, hi + 1] a step changes no value phi takes on the table
-    a = np.array([min(max(int(t), -off), width - off) + off for t in ts], dtype=np.int64)
-    T, G, L = a.size, vals.size, r.size
-    ea = np.repeat(a, G)
-    wv = np.tile(vals, T)
-    base = r * (width + 1)
-    rows = max(1, _BLOCK_BYTES // (L * 24))
-    # V's row totals C(n, r) sum to Psi_0 = Psi_1 = C(n-1, k): phi = +1 throughout
-    totals = _comb_row(n)
-    out = np.empty((T * G, 2, n), dtype=P.dtype)
-    for q0 in range(0, T * G, rows):
-        q = slice(q0, q0 + rows)
-        c = ea[q, None] - np.multiply.outer(wv[q], m)
-        np.maximum(c, 0, out=c)
-        np.minimum(c, width, out=c)
-        c += base
-        out[q] = totals + _alternating(P.ravel().take(c), n, -2)
-    return np.ascontiguousarray(out.reshape(T, G, 2, n).transpose(0, 2, 3, 1)), vals, inv
-
-
 @lru_cache(maxsize=None)
 def _pivot_coef(n: int) -> np.ndarray:
     """k!(n-1-k)!/n!: the probability of one k-subset preceding a voter."""
@@ -385,17 +342,50 @@ def _pivot_coef(n: int) -> np.ndarray:
     return coef
 
 
-def _step_indices(Psi: np.ndarray) -> np.ndarray:
-    """sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k] per step profile and weight, in float64.
+def _step(thr: int, total: int) -> int:
+    """t with [w.x >= thr] = [u >= t]: w.x = 2u - total is an integer, so t = ceil((thr + total) / 2)."""
+    return -((-thr - total) // 2)
 
-    Psi_1 - Psi_0 is twice a signed swing count: exact in int64 (below
-    2 C(n-1, k) < 2^63), and its float is exactly twice that of the count.
+
+def _step_indices(w: np.ndarray, ts, table=None) -> np.ndarray:
+    """(T, n) index vectors, in voter order, of the games [u >= t] for the steps t of ts.
+
+    u is the weight sum of the +1 voters.  A caller that scores w again may
+    pass its _swing_table(w) as table; only the steps move.  For a voter of
+    weight g, X[r, m] = P[r, t + off - m*g] at the cells of _diagonals(n), and
+    Psi_1 - Psi_0 = 2 (X[k, 0] + A_k + A_{k+1}), where A_d sums (-1)^m X[r, m]
+    over diagonal d's cells m >= 1 (A_0 = 0): twice a signed swing count,
+    exact in int64 (below 2 C(n-1, k) < 2^63), whose float is exactly twice
+    that of the count.
     """
-    n = Psi.shape[2]
-    D = Psi[:, 1] - Psi[:, 0]
+    P, off, vals, inv = _swing_table(w) if table is None else table
+    n, width = w.size, P.shape[1] - 1
+    r, m, sign, starts = _diagonals(n)
+    # outside [lo, hi + 1] a step changes no value phi takes on the table
+    a = np.array([min(max(int(t), -off), width - off) + off for t in ts], dtype=np.int64)
+    T, G, L = a.size, vals.size, r.size
+    ea = np.repeat(a, G)
+    wv = np.tile(vals, T)
+    base = r * (width + 1)
+    rows = max(1, _BLOCK_BYTES // (L * 24))
+    D = np.empty((T * G, n), dtype=P.dtype)
+    for q0 in range(0, T * G, rows):
+        q = slice(q0, q0 + rows)
+        c = ea[q, None] - np.multiply.outer(wv[q], m)
+        np.maximum(c, 0, out=c)
+        np.minimum(c, width, out=c)
+        c += base
+        X = P.ravel().take(c)
+        X *= sign
+        A = np.add.reduceat(X[:, n:], starts, axis=1)
+        D[q] = X[:, :n] + A
+        D[q, 1:] += A[:, :-1]
+    D = np.ascontiguousarray(D.reshape(T, G, n).transpose(0, 2, 1))
     if D.dtype == object:  # divide exactly: the coefficients can underflow
-        return (D / _comb_row(n)[:, None]).astype(np.float64).sum(axis=1) / n
-    return np.stack([_pivot_coef(n) @ Dt for Dt in D])
+        index = (D / _comb_row(n)[:, None]).astype(np.float64).sum(axis=1) / n
+    else:
+        index = np.stack([_pivot_coef(n) @ Dt for Dt in D])
+    return index[:, inv]
 
 
 def shapley_affine(weights, threshold: float) -> np.ndarray:
@@ -405,10 +395,7 @@ def shapley_affine(weights, threshold: float) -> np.ndarray:
     after a uniformly random prefix: +2 or -2 times its swing probability.
     """
     w = _int_weights(weights)
-    # w.x = 2u - total is an integer, so w.x >= threshold iff u >= t
-    t = -((-math.ceil(threshold) - sum(w.tolist())) // 2)
-    Psi, _, inv = _window_sums(w, [t])
-    return _step_indices(Psi)[0][inv]
+    return _step_indices(w, [_step(math.ceil(threshold), sum(w.tolist()))])[0]
 
 
 def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
@@ -416,5 +403,4 @@ def classical_pivot_dp(int_weights, quota: int) -> np.ndarray:
     w = _int_weights(int_weights)
     if np.any(w < 0):
         raise ValueError("quota games need nonnegative weights")
-    Psi, _, inv = _window_sums(w, [quota])
-    return (0.5 * _step_indices(Psi)[0])[inv]
+    return 0.5 * _step_indices(w, [quota])[0]

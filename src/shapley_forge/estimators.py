@@ -10,9 +10,10 @@ voter orders (each summand spans [-2, 2]).
 Draws and sampled orders go through fn in blocks sized by
 _subsetdp._BLOCK_BYTES, so working memory does not grow with the sample
 count; only the (n+1,) or (n,) accumulators persist between blocks.  The
-voter orders of a games.ltf_fn evaluator whose weights are integers skip
-fn: their prefix scores are running sums of the weights, exact in float64
-below 2^52, and score the same as fn would, so the estimate is unchanged.
+voter orders of a games.ltf_fn evaluator whose game has an integer form
+(games.integer_form) and sum |w| < 2^52 skip fn: a prefix passes iff the
+running weight sum of its voters, exact in float64, reaches the form's
+step, which scores every prefix as fn would, so the estimate is unchanged.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _subsetdp
+from .games import integer_form
 from .mu import mu_distribution, sample_mu_batch
 
 
@@ -68,21 +70,6 @@ def estimate_correlations(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, 
     return acc / m, m
 
 
-def _integer_ltf(fn):
-    """(w, theta) if fn is games.ltf_fn's closure of a game whose scores w.x are exact.
-
-    Integer-valued weights with sum |w| < 2^52 make every partial sum of
-    w.x an integer that float64 holds exactly, in any order.
-    """
-    game = getattr(fn, "_game", None)
-    if game is None:
-        return None
-    w = game.weights
-    if not (np.array_equal(w, np.rint(w)) and np.abs(w).sum() < 2.0**52):
-        return None
-    return w, game.threshold
-
-
 def _order_sweep(fn, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Sum of per-voter jumps over m sampled voter orders.
 
@@ -91,29 +78,31 @@ def _order_sweep(fn, n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     Per-order totals telescope to f(all +1) - f(all -1) exactly.  Orders go
     in blocks whose (b*(n+1), n) prefix rows, cast to float64 by fn, take
     about _subsetdp._BLOCK_BYTES; the block size does not change which
-    orders are drawn.  For an integer-weight game (_integer_ltf) the prefix
-    scores are the running sums 2 cumsum(w[P]) - sum(w), exact as fn's, so
-    no prefix row is built and fn is not called: O(n) per order, not O(n^2).
+    orders are drawn.  For a game with an integer form (w, thr) and sum |w|
+    < 2^52 the prefix values are [cumsum(w[P]) >= t] for the step t of thr
+    (_subsetdp._step), so no prefix row is built and fn is not called: O(n)
+    per order, not O(n^2).
     """
     acc = np.zeros(n)
-    ltf = _integer_ltf(fn)
+    form = integer_form(fn._game) if hasattr(fn, "_game") else None
+    sweep = form is not None and np.abs(form[0]).sum() < 2**52
+    if sweep:
+        t = _subsetdp._step(form[1], int(form[0].sum()))
+        w = form[0].astype(np.float64)
     steps = np.arange(n + 1)[None, :, None]
     block = max(1, _subsetdp._BLOCK_BYTES // (8 * (n + 1) * n))
     done = 0
     while done < m:
         b = min(block, m - done)
         P = np.argsort(rng.random((b, n)), axis=1)
-        if ltf is None:
+        if not sweep:
             rank = np.argsort(P, axis=1)
             X = np.where(rank[:, None, :] < steps, np.int8(1), np.int8(-1))
             V = np.asarray(fn(X.reshape(-1, n)), dtype=np.float64).reshape(b, n + 1)
         else:
-            w, theta = ltf
-            S = np.zeros((b, n + 1))
-            np.cumsum(w[P], axis=1, out=S[:, 1:])
-            S *= 2.0
-            S -= w.sum()
-            V = np.where(S - theta >= 0, 1.0, -1.0)
+            U = np.zeros((b, n + 1))
+            np.cumsum(w[P], axis=1, out=U[:, 1:])
+            V = np.where(U >= t, 1.0, -1.0)
         diffs = V[:, 1:] - V[:, :-1]
         acc += np.bincount(P.ravel(), weights=diffs.ravel(), minlength=n)
         done += b

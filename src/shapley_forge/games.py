@@ -11,6 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,26 @@ class _AffineForm:
 @dataclass(frozen=True)
 class VotingGame(_AffineForm):
     """Linear threshold function sign(w.x - theta), sign(0) = +1."""
+
+
+def integer_form(game: VotingGame) -> tuple[np.ndarray, int] | None:
+    """(w, thr): int64 weights and an integer threshold with game = [w.x >= thr], or None.
+
+    Weights within 1e-9 of integers are rounded only if their rounding
+    errors, plus a bound on ltf_values' float rounding of w.x, sum strictly
+    below theta's distance to the nearest integer, so that no point changes
+    side; an integer theta takes exact integers only.  sum |w| < 2^53 keeps
+    the partial sums of integer weights exact in float64.
+    """
+    w = np.rint(game.weights)
+    err = np.abs(game.weights - w)
+    total = float(np.abs(w).sum())
+    if err.max() > 1e-9 or total >= 2.0**53:
+        return None
+    theta = game.threshold
+    if err.any() and not math.fsum(err) + game.n * 2.0**-52 * total < abs(theta - round(theta)):
+        return None
+    return w.astype(np.int64), math.ceil(theta)
 
 
 def _integral(value, what: str) -> int:

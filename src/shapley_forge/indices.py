@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _subsetdp
-from .games import QuotaGame, VotingGame
+from .games import QuotaGame, VotingGame, integer_form
 from .mu import basis_coeffs, blocked_values, enumerate_cube, lambda_n
 
 
@@ -76,14 +76,19 @@ def shapley_exact_dp(game: QuotaGame) -> ShapleyReport:
 
 
 def shapley_int_ltf_dp(game: VotingGame) -> ShapleyReport:
-    """Index vector of an integer-weight sign game; negative weights allowed."""
-    w = np.rint(game.weights)
-    if not np.all(np.abs(game.weights - w) <= 1e-9):
-        raise ValueError("DP route needs integer weights")
-    # in floating point, before a weight past 2^63 can wrap in the cast
-    _subsetdp.check_table_budget(game.n, int(np.abs(w).sum()) + 1)
-    w = w.astype(np.int64)
-    thr = math.ceil(game.threshold)
+    """Index vector of an integer-weight sign game; negative weights allowed.
+
+    Weights within 1e-9 of integers are rounded only if their rounding
+    errors, plus a bound on the float rounding of w.x, sum strictly below
+    the threshold's distance to the nearest integer (games.integer_form);
+    any other game is refused, not scored as another.
+    """
+    # in floating point, before a weight past 2^63 can wrap in a cast
+    _subsetdp.check_table_budget(game.n, int(np.abs(np.rint(game.weights)).sum()) + 1)
+    form = integer_form(game)
+    if form is None:
+        raise ValueError("DP route needs integer weights, or near-integer ones whose rounding keeps the game")
+    w, thr = form
     shap = _subsetdp.shapley_affine(w, thr)
     total = int(w.sum())
     f_top = 1.0 if total >= thr else -1.0

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _subsetdp
 from .boosting import _dense_refresh, _GridEngine, game_from_net, round_cap
-from .games import VotingGame, ltf_fn
+from .games import VotingGame, integer_form, ltf_fn
 from .indices import (
     d_shapley,
     shapley_exact_truthtable,
@@ -204,19 +204,21 @@ def _exact_d_dp_batch(
     for key, rows in groups.items():
         w = nets[rows[0], 1:]
         total = sum(w.tolist())
-        # net_0 + w.x = net_0 + 2u - total >= 0 iff u >= t, as in shapley_affine
-        ts = [-((int(nets[i, 0]) - total) // 2) for i in rows]
-        Psi, _, inv = _subsetdp._window_sums(w, ts, table=tables.get_or_build(key, w))
-        for i, index in zip(rows, _subsetdp._step_indices(Psi)):
-            ds[i] = d_shapley(index[inv], target)
+        # the game of a net is [w.x >= -net_0]
+        ts = [_subsetdp._step(-int(nets[i, 0]), total) for i in rows]
+        for i, index in zip(rows, _subsetdp._step_indices(w, ts, table=tables.get_or_build(key, w))):
+            ds[i] = d_shapley(index, target)
     return ds
 
 
 def validate_candidate(target: np.ndarray, game: VotingGame, cfg: SolveConfig) -> float:
-    """Exact index distance of a candidate, by the config's oracle mode."""
+    """Exact index distance of a candidate, by the config's oracle mode.
+
+    In exact-dp mode a game without an integer form (games.integer_form)
+    is scored by its truth table.
+    """
     target = np.asarray(target, dtype=np.float64)
-    w_int = np.rint(game.weights)
-    if cfg.oracle_mode == "exact-dp" and np.all(np.abs(game.weights - w_int) <= 1e-9):
+    if cfg.oracle_mode == "exact-dp" and integer_form(game) is not None:
         return d_shapley(shapley_int_ltf_dp(game).shapley, target)
     return d_shapley(shapley_exact_truthtable(ltf_fn(game), game.n).shapley, target)
 

@@ -98,6 +98,15 @@ def test_compute_exact_dp_rejects_bad_weights_with_exit_2(game, message, tmp_pat
     assert message in err and "Traceback" not in err
 
 
+def test_compute_exact_dp_refuses_a_rounding_that_changes_the_game(tmp_path, capsys):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 3, "weights": [1 + 1e-10, 1, 1], "threshold": 3 + 1e-11}))
+    code, out, err = run_app(["compute", "--game", str(path), "--exact-dp"], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "integer weights" in err
+
+
 def test_compute_modes_agree(game_file, capsys):
     code, out, _ = run_app(["compute", "--game", game_file, "--exact-dp"], capsys)
     dp = json.loads(out)["shapley"]

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
@@ -209,6 +209,41 @@ def test_int_ltf_dp_refuses_huge_weights_by_the_table_budget():
         for w in (1e20, -1e20, 1e300):
             with pytest.raises(ValueError, match="budget"):
                 shapley_int_ltf_dp(VotingGame(np.array([w, 1.0, 1.0]), 0.5))
+
+
+@pytest.mark.parametrize(
+    "weights, threshold, index",
+    [
+        # all +1 scores 3 + 1e-10 >= 3 + 1e-11, but the rounded weights score 3 < 4
+        ([1.0 + 1e-10, 1.0, 1.0], 3.0 + 1e-11, 2.0 / 3.0),
+        # the rounding errors sum below the threshold's distance to 17, but
+        # ltf_values' float sum at all +1 rounds up onto the threshold
+        ([2.0000000004517617, 5.0, 3.0, 7.0], 17.000000000451763, 0.5),
+    ],
+    ids=["threshold-near-an-integer", "float-sum-on-the-threshold"],
+)
+def test_int_ltf_dp_refuses_a_rounding_that_changes_the_game(weights, threshold, index):
+    g = VotingGame(np.array(weights), threshold)
+    assert np.allclose(shapley_exact_truthtable(ltf_fn(g), g.n).shapley, index, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="integer weights"):
+        shapley_int_ltf_dp(g)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.floats(-1e-9, 1e-9)), min_size=1, max_size=10),
+    st.integers(-30, 30),
+    st.one_of(st.floats(-2e-9, 2e-9), st.floats(-1.0, 1.0)),
+)
+def test_int_ltf_dp_scores_near_integer_weights_only_when_rounding_keeps_the_game(voters, base, frac):
+    g = VotingGame(np.array([k + d for k, d in voters]), base + frac)
+    try:
+        rep = shapley_int_ltf_dp(g)
+    except ValueError as exc:
+        assert "integer weights" in str(exc)
+        return
+    want = shapley_exact_truthtable(ltf_fn(g), g.n).shapley
+    assert np.allclose(rep.shapley, want, rtol=0, atol=1e-12)
 
 
 def test_int_ltf_dp_refuses_a_large_half_integer_weight():

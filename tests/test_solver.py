@@ -208,6 +208,15 @@ def test_integer_weight_check_is_absolute_1e9(monkeypatch):
     assert d_off == d_shapley(shapley_exact_truthtable(ltf_fn(off), 4).shapley, target)
 
 
+def test_dp_validation_scores_a_game_rounding_would_change_by_its_truth_table():
+    # the rounded weights (1, 1, 1) never reach 3 + 1e-11; the game is majority
+    g = VotingGame(np.array([1.0 + 1e-10, 1.0, 1.0]), 3.0 + 1e-11)
+    target = np.full(3, 2.0 / 3.0)
+    d = validate_candidate(target, g, SolveConfig(oracle_mode="exact-dp"))
+    assert d == d_shapley(shapley_exact_truthtable(ltf_fn(g), 3).shapley, target)
+    assert d < 1e-12
+
+
 def _one_by_one(nets, target):
     cfg = SolveConfig(oracle_mode="exact-dp")
     return [validate_candidate(target, game_from_net(net), cfg) for net in nets]

@@ -123,17 +123,16 @@ def test_swing_counts_do_not_depend_on_the_gather_blocks(monkeypatch, rng):
     # steps inside the table, at its edges, beyond them and past int64
     ts = [17, -total - 2, -total, 0, total, total + 9, -(10**30), 10**30]
     ts += rng.integers(-total, total + 1, size=40).tolist()
-    G = np.unique(w).size
 
-    steps = _subsetdp._window_sums(w, ts)[0]
-    assert steps.shape == (len(ts), 2, 41, G) and steps.dtype == np.int64
+    steps = _subsetdp._step_indices(w, ts)
+    assert steps.shape == (len(ts), 41) and steps.dtype == np.float64
     for t, S in zip(ts, steps):
-        assert np.array_equal(_subsetdp._window_sums(w, [t])[0][0], S)
+        assert np.array_equal(_subsetdp._step_indices(w, [t])[0], S)
     cells = 41 * 44 // 2  # cells read per (step, weight) row
     monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 24 * cells * 5)  # 5 rows a block
-    assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
+    assert np.array_equal(_subsetdp._step_indices(w, ts), steps)
     monkeypatch.setattr(_subsetdp, "_BLOCK_BYTES", 1)  # one row per block
-    assert np.array_equal(_subsetdp._window_sums(w, ts)[0], steps)
+    assert np.array_equal(_subsetdp._step_indices(w, ts), steps)
 
 
 def _per_voter_correlations(w, c0, gamma, pmf):
