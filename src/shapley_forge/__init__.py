@@ -21,7 +21,6 @@ _EXPORTS = {
     "EstimateConfig": ".estimators",
     "estimate_correlations": ".estimators",
     "estimate_shapley": ".estimators",
-    "LinearBoundedFunction": ".games",
     "QuotaGame": ".games",
     "VotingGame": ".games",
     "quota_to_ltf": ".games",

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _subsetdp
 from .estimators import EstimateConfig, estimate_correlations
-from .games import LinearBoundedFunction, VotingGame, lbf_fn
+from .games import VotingGame
 from .mu import enumerate_support, mu_pmf_points, mu_weights, pair_correlation
 
 # largest n whose dense refresh uses the support table: the largest n at
@@ -103,14 +103,6 @@ class BoostState:
             self.net = np.zeros(self.n + 1, dtype=np.int64)
 
 
-def lbf_from_state(state: BoostState) -> LinearBoundedFunction:
-    net = state.net
-    return LinearBoundedFunction(
-        weights=state.gamma * net[1:].astype(np.float64),
-        threshold=-state.gamma * float(net[0]),
-    )
-
-
 def game_from_net(net: np.ndarray) -> VotingGame:
     """Voting game sign(net . (1, x)) of a boosting net, with integer weights.
 
@@ -163,13 +155,18 @@ def exact_dp_oracle(n: int):
 
 
 def sampled_oracle(n: int, xi: float, delta_each: float, seed: int):
-    """Monte-Carlo oracle; each call is within xi/16 per slot w.p. 1 - delta_each."""
+    """Monte-Carlo oracle; each call is within xi/16 per slot w.p. 1 - delta_each.
+
+    It samples the clipped form the exact oracles read: clip(gamma * S) of
+    the integer score S = net_0 + net . x.
+    """
     gamma_est = (xi / 16.0) * math.sqrt(n + 1)
     rng = np.random.default_rng(seed)
 
     def oracle(state: BoostState) -> np.ndarray:
+        net, gamma = state.net, state.gamma
         cfg = EstimateConfig(gamma=gamma_est, delta=delta_each, seed=int(rng.integers(2**63)))
-        est, _ = estimate_correlations(lbf_fn(lbf_from_state(state)), n, cfg)
+        est, _ = estimate_correlations(lambda X: np.clip(gamma * (X @ net[1:] + net[0]), -1.0, 1.0), n, cfg)
         return est
 
     return oracle
@@ -240,7 +237,8 @@ class _GridEngine:
     after every append its correlations are recomputed from its net by
     refresh: a callable mapping (r, n+1) int64 nets to (r, n+1) correlations.
     A row finishes when it converges (largest violation at most gamma), when
-    it stalls, or unconverged at the round cap, where it may not append.
+    it stalls, or unconverged at the round cap round_cap(2 * gamma), where
+    it may not append.
 
     Columns.  The second-moment matrix keeps slot 0 apart from the voters,
     so in linear mode an append on slot 0 moves only corr_0 and a voter
@@ -280,7 +278,6 @@ class _GridEngine:
         refresh,
         *,
         stall_window: int | None = 512,
-        cap: float = math.inf,
     ) -> None:
         self.n = n
         self.gamma = float(gamma)
@@ -292,7 +289,6 @@ class _GridEngine:
         self.rho = pair_correlation(n)
         self.refresh = refresh
         self.stall_window = math.inf if stall_window is None else int(stall_window)
-        self.cap = cap
 
         self.net = np.zeros((self.G, n + 1), dtype=np.int64)
         self.corr = np.zeros((self.G, n + 1))
@@ -302,6 +298,7 @@ class _GridEngine:
         self.dense = np.zeros(self.G, dtype=bool)
         # no point clips while the L1 mass of net stays at or below this
         self.lin_cap = int(math.floor(1.0 / self.gamma)) - 1
+        self.cap = round_cap(2.0 * self.gamma)
 
         # the first _live rows of these hold the live rows, in grid order
         self._live = self.G

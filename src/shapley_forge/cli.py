@@ -197,6 +197,7 @@ def _cmd_compute(args) -> int:
     from .estimators import estimate_shapley_fixed
     from .games import ltf_fn
     from .indices import shapley_exact_truthtable, shapley_int_ltf_dp
+    from .mu import ENUM_CAP
 
     game = _load_game(args.game)
     n = game.n
@@ -214,8 +215,8 @@ def _cmd_compute(args) -> int:
         method = "exact-dp"
         extra = {}
     else:
-        if n > 20:
-            _die(f"--exact-enum is capped at n=20, got n={n}; use --exact-dp or --samples")
+        if n > ENUM_CAP:
+            _die(f"--exact-enum is capped at n={ENUM_CAP}, got n={n}; use --exact-dp or --samples")
         vec = shapley_exact_truthtable(ltf_fn(game), n).shapley
         method = "exact-enum"
         extra = {}

@@ -101,6 +101,8 @@ def balanced_fraction(
     """
     w = np.asarray(weights, dtype=np.float64)
     n = w.size
+    if not (math.isfinite(w0) and np.all(np.isfinite(w))):
+        raise ValueError(f"w0 and the weights must be finite, got w0 = {w0}")
     if not 0 <= i <= n:
         raise ValueError(f"prefix length must lie in [0, {n}], got {i}")
     _check_probe(r, samples)

@@ -1,10 +1,9 @@
-"""Core game representations: voting games, quota games, bounded affine forms.
+"""Core game representations: voting games and quota games.
 
 Conventions used throughout the package:
 
 * inputs live in {-1,+1}^n; +1 means a yes-vote,
 * an LTF evaluates sign(w.x - theta) with sign(0) = +1,
-* an LBF evaluates clip(w.x - theta) to [-1, 1],
 * batch evaluators take an (m, n) matrix of +-1 rows and return m values.
 """
 
@@ -18,8 +17,8 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class _AffineForm:
-    """Validated weights w and threshold theta of the form w.x - theta."""
+class VotingGame:
+    """Linear threshold function sign(w.x - theta), sign(0) = +1."""
 
     weights: np.ndarray
     threshold: float
@@ -37,11 +36,6 @@ class _AffineForm:
     @property
     def n(self) -> int:
         return int(self.weights.size)
-
-
-@dataclass(frozen=True)
-class VotingGame(_AffineForm):
-    """Linear threshold function sign(w.x - theta), sign(0) = +1."""
 
 
 def integer_form(game: VotingGame) -> tuple[np.ndarray, int] | None:
@@ -103,20 +97,10 @@ class QuotaGame:
         return sum(self.int_weights)
 
 
-@dataclass(frozen=True)
-class LinearBoundedFunction(_AffineForm):
-    """Clipped affine form clip(w.x - theta, -1, 1)."""
-
-
 def ltf_values(game: VotingGame, X: np.ndarray) -> np.ndarray:
     """sign(w.x - theta) for every row of X, as float +-1."""
     vals = X @ game.weights - game.threshold
     return np.where(vals >= 0, 1.0, -1.0)
-
-
-def lbf_values(lbf: LinearBoundedFunction, X: np.ndarray) -> np.ndarray:
-    vals = X @ lbf.weights - lbf.threshold
-    return np.clip(vals, -1.0, 1.0)
 
 
 def ltf_fn(game: VotingGame):
@@ -127,10 +111,6 @@ def ltf_fn(game: VotingGame):
 
     fn._game = game
     return fn
-
-
-def lbf_fn(lbf: LinearBoundedFunction):
-    return lambda X: lbf_values(lbf, X)
 
 
 def quota_to_ltf(g: QuotaGame) -> VotingGame:

@@ -155,11 +155,6 @@ def blocked_values(fn, X: np.ndarray) -> np.ndarray:
     return vals
 
 
-def exact_mu_expectation(fn, n: int) -> float:
-    """E[f] by enumeration; fn maps an (m, n) +-1 matrix to m values."""
-    return float(mu_weights(n) @ blocked_values(fn, enumerate_support(n)))
-
-
 def exact_correlations(fn, n: int) -> np.ndarray:
     """(n+1,) vector: entry 0 is E[f], entry i is E[f x_i]."""
     # weighted over the whole cube, in cube order: x_j is +1 on the rows

@@ -40,7 +40,7 @@ from .indices import (
     shapley_int_ltf_dp,
     truthtable_coefficient_matrix,
 )
-from .mu import lambda_n
+from .mu import ENUM_CAP, lambda_n
 
 ORACLE_MODES = ("exact-enum", "exact-dp")
 # budget of the grid's (cells x (n+1)) 8-byte arrays: the targets, the
@@ -249,7 +249,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
         raise ValueError(f"need at least 3 voters, got {n}")
     if not np.all(np.isfinite(target)):
         raise ValueError("target entries must be finite")
-    if cfg.oracle_mode == "exact-enum" and n > 20:
+    if cfg.oracle_mode == "exact-enum" and n > ENUM_CAP:
         raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp")
     eps = cfg.epsilon if cfg.epsilon is not None else default_eps
     accept_at = 0.8 * eps
@@ -261,12 +261,12 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
             "as monotone non-constant anyway",
             stacklevel=3,
         )
-    cap = round_cap(xi)
+    round_cap(xi)  # refuses an xi whose round cap is not finite, before any grid is built
     _check_grid_budget(cfg.grid_step, n)
     axis = _grid_axis(cfg.grid_step)
     A, f0s, means = _target_rows(target, nu, axis)
 
-    engine, g, d, status = _solve_engine(target, cfg, xi, accept_at, A, cap)
+    engine, g, d, status = _solve_engine(target, cfg, xi, accept_at, A)
     return SolveResult(
         game=game_from_net(engine.net[g]),
         est_dshapley=d,
@@ -278,7 +278,7 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     )
 
 
-def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int, float, str]:
+def _solve_engine(target, cfg, xi, accept_at, A) -> tuple[_GridEngine, int, float, str]:
     """Lockstep grid; returns (engine, chosen cell, its distance, status).
 
     run() hands every row to the checkpoint where it finishes, and each is
@@ -288,7 +288,7 @@ def _solve_engine(target, cfg, xi, accept_at, A, cap) -> tuple[_GridEngine, int,
     """
     n = target.size
     gamma = xi / 2.0
-    engine = _GridEngine(n, A, gamma, _dense_refresh(n, gamma), stall_window=cfg.stall_window, cap=cap)
+    engine = _GridEngine(n, A, gamma, _dense_refresh(n, gamma), stall_window=cfg.stall_window)
     d = np.full(A.shape[0], np.inf)
     tables = _SwingTables()  # freed when the solve returns
 
@@ -315,14 +315,17 @@ def exhaustive_baseline(target, max_weight: int = 6) -> tuple[VotingGame, float]
 
     Enumerates every weight vector in {0..max_weight}^n (lexicographically)
     and every half-integer threshold in [-total, total], returning the first
-    minimizer of the exact index distance.
+    minimizer of the exact index distance.  It takes a finite 1-d target of
+    1 to 5 entries and an integer max_weight in [0, 6].
     """
     target = np.asarray(target, dtype=np.float64)
     n = target.size
-    if n > 5:
-        raise ValueError(f"baseline enumeration is capped at n=5, got {n}")
-    if max_weight > 6:
-        raise ValueError(f"baseline weight cap is 6, got {max_weight}")
+    if target.ndim != 1 or not 1 <= n <= 5:
+        raise ValueError(f"baseline enumeration needs a 1-d target of 1 to 5 entries, got shape {target.shape}")
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target entries must be finite")
+    if isinstance(max_weight, bool) or not isinstance(max_weight, numbers.Integral) or not 0 <= max_weight <= 6:
+        raise ValueError(f"baseline weight cap must be an integer in [0, 6], got {max_weight!r}")
     vecs = np.array(list(itertools.product(range(max_weight + 1), repeat=n)), dtype=np.float64)
     tots = vecs.sum(axis=1).astype(np.int64)
     best_d = np.empty(len(vecs))

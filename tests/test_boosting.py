@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shapley_forge import boosting
 from shapley_forge.boosting import (
     BoostState,
     BoostTargets,
@@ -10,11 +11,10 @@ from shapley_forge.boosting import (
     exact_dp_oracle,
     exact_enum_oracle,
     game_from_net,
-    lbf_from_state,
     sampled_oracle,
 )
-from shapley_forge.games import VotingGame, lbf_fn, ltf_fn
-from shapley_forge.mu import degree1_moment_matrix, exact_correlations
+from shapley_forge.games import VotingGame, ltf_fn
+from shapley_forge.mu import degree1_moment_matrix, enumerate_support, exact_correlations
 
 
 def _realizable_targets(rng, n: int, xi: float) -> BoostTargets:
@@ -25,6 +25,12 @@ def _realizable_targets(rng, n: int, xi: float) -> BoostTargets:
 def _append(state: BoostState, j: int, sign: int) -> None:
     state.net[j] += sign
     state.t += 1
+
+
+def _clipped(state: BoostState):
+    """The state's clipped form x -> clip(gamma * (net_0 + net . x), -1, 1)."""
+    net, gamma = state.net.copy(), state.gamma
+    return lambda X: np.clip(gamma * (X @ net[1:] + net[0]), -1.0, 1.0)
 
 
 def test_gamma_is_half_xi():
@@ -48,9 +54,6 @@ def test_state_translation_frozen_case():
     _append(state, 0, -1)
     _append(state, 0, -1)
     _append(state, 2, +1)
-    lbf = lbf_from_state(state)
-    assert np.allclose(lbf.weights, [0.0, 0.1, 0.0], atol=1e-15)
-    assert lbf.threshold == pytest.approx(0.2)
     g = game_from_net(state.net)
     assert g.weights.tolist() == [0.0, 1.0, 0.0]
     assert g.threshold == 2.0
@@ -124,7 +127,7 @@ def test_oracles_agree(rng):
     enum = exact_enum_oracle(n)(state)
     dp = exact_dp_oracle(n)(state)
     assert np.allclose(enum, dp, atol=1e-12)
-    truth = exact_correlations(lbf_fn(lbf_from_state(state)), n)
+    truth = exact_correlations(_clipped(state), n)
     assert np.allclose(enum, truth, atol=1e-12)
 
 
@@ -153,11 +156,29 @@ def test_sampled_oracle_is_within_contract():
     assert np.abs(est - exact).max() <= xi / 16.0
 
 
+@pytest.mark.parametrize("n, gamma", [(3, 0.3), (5, 0.05), (8, 0.1), (10, 0.013)])
+def test_sampled_oracle_samples_the_exact_clipped_form(monkeypatch, n, gamma):
+    # the callable the sampled oracle hands its estimator is clip(gamma * S)
+    # of the integer score S the exact oracle reads, bit for bit
+    seen = []
+    inner = boosting.estimate_correlations
+    monkeypatch.setattr(boosting, "estimate_correlations", lambda fn, *args: seen.append(fn) or inner(fn, *args))
+    rng = np.random.default_rng(n)
+    Xext = np.ones((2**n - 2, n + 1), dtype=np.int64)
+    Xext[:, 1:] = enumerate_support(n)
+    for _ in range(6):
+        net = rng.integers(-40, 41, size=n + 1)
+        sampled_oracle(n, 0.5, 0.1, seed=0)(BoostState(n=n, gamma=gamma, net=net))
+        want = np.clip(gamma * (Xext @ net), -1.0, 1.0)
+        assert np.array_equal(seen[-1](enumerate_support(n)), want)
+    assert len(seen) == 6
+
+
 def test_boost_with_sampled_oracle_still_converges(rng):
     targets = _realizable_targets(rng, 4, xi=0.2)
     res = boost(targets, sampled_oracle(4, 0.2, 1e-4, seed=1))
     assert res.converged
-    exact = exact_correlations(lbf_fn(lbf_from_state(res.state)), 4)
+    exact = exact_correlations(_clipped(res.state), 4)
     # stop rule sees estimates, so allow the oracle slack on top of gamma
     assert np.abs(targets.a - exact).max() <= targets.gamma + 0.2 / 16.0
 

@@ -420,6 +420,17 @@ def test_diagnose_balanced_rejects_eta_outside_unit_interval(game_file, capsys, 
     assert "eta" in err
 
 
+@pytest.mark.parametrize("w0", ["nan", "inf", "-inf"])
+def test_diagnose_balanced_refuses_a_non_finite_offset(game_file, capsys, w0):
+    code, out, err = run_app(
+        ["diagnose", "balanced", "--game", game_file, "--i", "1", "--r", "2", "--eta", "0.2", f"--w0={w0}"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 @pytest.mark.parametrize(
     "mode, flags",
     [

@@ -86,6 +86,22 @@ def test_balanced_fraction_frozen_case():
     assert rep.estimate == pytest.approx(1.0 / 3.0, abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "w0, weights",
+    [
+        (math.nan, [2.0, 1.0, 1.0]),
+        (-math.inf, [2.0, 1.0, 1.0]),
+        (0.0, [2.0, math.inf, 1.0]),
+        (0.0, [2.0, 1.0, math.nan]),
+        (math.inf, np.ones(20)),  # past BALANCED_EXACT_CAP: the sampled path
+    ],
+    ids=["nan-w0", "-inf-w0", "inf-weight", "nan-weight", "sampled"],
+)
+def test_balanced_fraction_refuses_non_finite_inputs(w0, weights):
+    with pytest.raises(ValueError, match="finite"):
+        balanced_fraction(w0, weights, 1, 1.0, samples=100)
+
+
 def test_balanced_prefix_bound_values():
     assert balanced_prefix_bound(10, 3, 0.1) == pytest.approx(12.0)
     assert balanced_prefix_bound(10, 9, 0.5) == pytest.approx(0.8)

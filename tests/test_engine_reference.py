@@ -25,12 +25,14 @@ def _random_grid(seed: int, n: int, grid_step: float) -> np.ndarray:
     return A
 
 
-def _pair(n, A, gamma, *, lin_cap=None, **kwargs):
+def _pair(n, A, gamma, *, lin_cap=None, cap=None, **kwargs):
     refresh = _support_refresh(n, gamma)
     eng = _GridEngine(n, A, gamma, refresh, **kwargs)
     ref = LockstepEngine(n, A, gamma, degree1_moment_matrix(n), refresh, **kwargs)
     if lin_cap is not None:
         eng.lin_cap = ref.lin_cap = lin_cap
+    if cap is not None:
+        eng.cap = ref.cap = cap
     return eng, ref
 
 

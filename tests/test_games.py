@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 import reference as ref
 from shapley_forge.games import (
-    LinearBoundedFunction,
     QuotaGame,
     VotingGame,
     game_from_dict,
     game_to_dict,
     is_eta_reasonable,
-    lbf_values,
     load_game,
     ltf_values,
     quota_from_dict,
@@ -41,16 +39,6 @@ def test_ltf_values_matches_scalar(rng):
     fn1 = ref.ltf1(g.weights, g.threshold)
     for row, v in zip(X, vals):
         assert v == fn1(row)
-
-
-def test_lbf_clips_to_unit_interval(rng):
-    lbf = LinearBoundedFunction(np.array([2.0, -1.0, 0.5]), 0.25)
-    X = np.where(rng.random((30, 3)) < 0.5, 1, -1)
-    vals = lbf_values(lbf, X)
-    assert np.all(vals <= 1.0) and np.all(vals >= -1.0)
-    for row, v in zip(X, vals):
-        raw = float(lbf.weights @ row) - lbf.threshold
-        assert v == pytest.approx(min(1.0, max(-1.0, raw)))
 
 
 @given(

@@ -14,7 +14,6 @@ from shapley_forge.mu import (
     enumerate_cube,
     enumerate_support,
     exact_correlations,
-    exact_mu_expectation,
     lambda_n,
     mu_distribution,
     mu_pmf,
@@ -84,14 +83,14 @@ def test_mu_weights_align_with_pmf():
 def test_exact_expectation_of_coordinates_vanishes():
     n = 6
     for i in range(n):
-        val = exact_mu_expectation(lambda X, _i=i: X[:, _i].astype(float), n)
+        val = exact_correlations(lambda X, _i=i: X[:, _i].astype(float), n)[0]
         assert val == pytest.approx(0.0, abs=1e-15)
 
 
 def test_pair_correlation_frozen_and_brute():
     assert pair_correlation(4) == pytest.approx(-1.0 / 11.0, abs=1e-15)
     n = 6
-    rho = exact_mu_expectation(lambda X: (X[:, 0] * X[:, 1]).astype(float), n)
+    rho = exact_correlations(lambda X: (X[:, 0] * X[:, 1]).astype(float), n)[0]
     assert pair_correlation(n) == pytest.approx(rho, abs=1e-14)
 
 

@@ -75,7 +75,8 @@ def test_engine_dense_reference_replays_scalar_boost(rng):
     # capped before it converges, the row finishes unconverged in both loops
     cap = scalar.iterations // 2
     capped = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), cap=cap, stall_window=4096)
-    eng = _dense_reference(n, a[None, :], gamma, stall_window=4096, cap=cap)
+    eng = _dense_reference(n, a[None, :], gamma, stall_window=4096)
+    eng.cap = cap
     eng.run()
     assert not capped.converged and not eng.converged[0]
     assert int(eng.t[0]) == capped.iterations == cap
@@ -501,6 +502,25 @@ def test_baseline_rejects_large_instances():
         exhaustive_baseline(np.zeros(6), max_weight=2)
     with pytest.raises(ValueError):
         exhaustive_baseline(np.zeros(3), max_weight=40)
+
+
+@pytest.mark.parametrize(
+    "target, max_weight, message",
+    [
+        (np.full(3, 2.0 / 3.0), -1, "weight cap"),
+        (np.full(3, 2.0 / 3.0), 2.0, "weight cap"),
+        (np.full(3, 2.0 / 3.0), True, "weight cap"),
+        (np.full(3, 2.0 / 3.0), 7, "weight cap"),
+        (np.full((2, 3), 2.0 / 3.0), 2, "1-d target"),
+        (np.zeros(0), 2, "1 to 5 entries"),
+        (np.array([1.0, np.nan, 1.0]), 2, "finite"),
+        (np.array([1.0, np.inf, 1.0]), 2, "finite"),
+    ],
+    ids=["negative-cap", "float-cap", "bool-cap", "cap-7", "2-d", "empty", "nan", "inf"],
+)
+def test_baseline_refuses_bad_inputs(target, max_weight, message):
+    with pytest.raises(ValueError, match=message):
+        exhaustive_baseline(target, max_weight=max_weight)
 
 
 def test_solver_matches_baseline_on_asymmetric_target():
