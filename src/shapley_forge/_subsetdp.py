@@ -15,11 +15,11 @@ sum_j (-1)^j V[k - j, j + e], where V[r, m] = sum_v F[r, v] phi(v + m*w_i).
 Voter i's index is sum_k k!(n-1-k)!/n! (Psi_1 - Psi_0)[k].  The row totals
 of F cancel in that difference, so what is read is X[r, m], the number of
 r-subsets with v + m*w_i < t: once per cell r + m <= n, from the row prefix
-sums of F, and voters of equal weight share it.  One reader (_step_indices)
-serves sign games, quota games and solve validation; thresholds of one
-weight vector share its table.  Int64 arithmetic wraps in a ring, so these
-sums are exact whenever the true value fits, and Psi_1 - Psi_0 is below
-2 C(n-1, k).
+sums of F, and voters of equal weight share it.  One reader
+(_weight_indices) serves sign games, quota games and solve validation,
+whose screen reads a single weight; thresholds of one weight vector share
+its table.  Int64 arithmetic wraps in a ring, so these sums are exact
+whenever the true value fits, and Psi_1 - Psi_0 is below 2 C(n-1, k).
 
 Clipped profiles: the boosting oracle's h = clip(gamma (w.x + c0)) is -1,
 linear, then +1 in the +1 set's sum.  A clip table per weight vector
@@ -351,21 +351,29 @@ def _step_indices(w: np.ndarray, ts, table=None) -> np.ndarray:
     """(T, n) index vectors, in voter order, of the games [u >= t] for the steps t of ts.
 
     u is the weight sum of the +1 voters.  A caller that scores w again may
-    pass its _swing_table(w) as table; only the steps move.  For a voter of
-    weight g, X[r, m] = P[r, t + off - m*g] at the cells of _diagonals(n), and
-    Psi_1 - Psi_0 = 2 (X[k, 0] + A_k + A_{k+1}), where A_d sums (-1)^m X[r, m]
-    over diagonal d's cells m >= 1 (A_0 = 0): twice a signed swing count,
-    exact in int64 (below 2 C(n-1, k) < 2^63), whose float is exactly twice
-    that of the count.
+    pass its _swing_table(w) as table; only the steps move.
     """
     P, off, vals, inv = _swing_table(w) if table is None else table
-    n, width = w.size, P.shape[1] - 1
+    return _weight_indices(P, off, vals, ts)[:, inv]
+
+
+def _weight_indices(P: np.ndarray, off: int, vals: np.ndarray, ts) -> np.ndarray:
+    """(T, G): the index of a voter of weight vals[g] in the game [u >= t], for the steps t of ts.
+
+    P and off are those of a _swing_table; vals may be any of its weights.
+    For a voter of weight g, X[r, m] = P[r, t + off - m*g] at the cells of
+    _diagonals(n), and Psi_1 - Psi_0 = 2 (X[k, 0] + A_k + A_{k+1}), where
+    A_d sums (-1)^m X[r, m] over diagonal d's cells m >= 1 (A_0 = 0): twice
+    a signed swing count, exact in int64 (below 2 C(n-1, k) < 2^63), whose
+    float is exactly twice that of the count.
+    """
+    n, width = P.shape[0], P.shape[1] - 1
     r, m, sign, starts = _diagonals(n)
     # outside [lo, hi + 1] a step changes no value phi takes on the table
     a = np.array([min(max(int(t), -off), width - off) + off for t in ts], dtype=np.int64)
     T, G, L = a.size, vals.size, r.size
     ea = np.repeat(a, G)
-    wv = np.tile(vals, T)
+    wv = np.broadcast_to(vals, (T, G)).ravel()
     base = r * (width + 1)
     rows = max(1, _BLOCK_BYTES // (L * 24))
     D = np.empty((T * G, n), dtype=P.dtype)
@@ -382,10 +390,8 @@ def _step_indices(w: np.ndarray, ts, table=None) -> np.ndarray:
         D[q, 1:] += A[:, :-1]
     D = np.ascontiguousarray(D.reshape(T, G, n).transpose(0, 2, 1))
     if D.dtype == object:  # divide exactly: the coefficients can underflow
-        index = (D / _comb_row(n)[:, None]).astype(np.float64).sum(axis=1) / n
-    else:
-        index = np.stack([_pivot_coef(n) @ Dt for Dt in D])
-    return index[:, inv]
+        return (D / _comb_row(n)[:, None]).astype(np.float64).sum(axis=1) / n
+    return np.matmul(_pivot_coef(n), D)
 
 
 def shapley_affine(weights, threshold: float) -> np.ndarray:

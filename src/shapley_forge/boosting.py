@@ -27,9 +27,9 @@ has the same voter targets.  So for the first rounds, where no row can go
 dense, stall or hit the cap, the engine walks the voters once per column,
 and a row finishes at round a* + b*: the slot-0 appends its f0 needs plus
 the round its column's walk stops.  A round there advances the walks and
-returns the rows scheduled for it; the rows still live when those rounds
-end are replayed, and the full per-row step takes over.  The results are
-the same floats either way.
+pops the rows due at it, which got their final state when their walk
+stopped; the rows still live when those rounds end are replayed, and the
+full per-row step takes over.  The results are the same floats either way.
 """
 
 from __future__ import annotations
@@ -253,9 +253,10 @@ class _GridEngine:
     its own slot-0 walk, and it finishes converged at round a* + b*: a* is
     the number of slot-0 appends its A_0 needs, read once per distinct A_0,
     and b* the round its column's walk stops.  So a prefix round advances
-    the walks, schedules the rows of each column whose walk stopped, and
-    returns the rows scheduled for it, built from the walk's state at b*;
-    no per-row state moves.  R0 is read at the first step.
+    the walks, gives the rows of each walk that stopped their final state
+    from the walk's state at b*, files them under their round, and returns
+    the rows filed under its own; no per-row state moves.  R0 is read at
+    the first step or run().
 
     Handoff.  At round R0 the rows still live are replayed through the
     prefix, round by round with the step's arithmetic, for their voter
@@ -394,22 +395,29 @@ class _GridEngine:
         return finished
 
     def _begin(self) -> None:
-        """Read R0 and, if the prefix is not empty, set up its schedule."""
-        cols: dict[bytes, int] = {}
-        col = np.array([cols.setdefault(a.tobytes(), len(cols)) for a in self._A[:, 1:]])
-        C = len(cols)
-        r0 = min(self.lin_cap, self.stall_window, self.cap, _WALK_BYTES // (17 * C))
+        """Read R0 and, if the prefix is not empty, set up its schedule.
+
+        A column is a run of rows with equal A[1:] bytes in A_1 order; a row
+        of equal A_1 in between splits one in two, at the cost of a walk.
+        """
+        order = np.argsort(self._A[:, 1], kind="stable")
+        key = self._A[order, 1:].view(np.int64)
+        new = np.ones(self.G, dtype=bool)
+        new[1:] = (key[1:] != key[:-1]).any(axis=1)
+        C = int(np.count_nonzero(new))
+        col = np.empty(self.G, dtype=np.intp)
+        col[order] = np.cumsum(new) - 1
+        per_round = (16 + _VoterWalks.slot_type(self.n).itemsize) * C  # vmax, step and slot
+        r0 = min(self.lin_cap, self.stall_window, self.cap, _WALK_BYTES // per_round)
         R0 = self._r0 = math.floor(r0)
         if R0 <= 0:
             return
-        rep = np.empty(C, dtype=np.int64)
-        rep[col] = np.arange(self.G)  # any row of each column
-        self._walk = _VoterWalks(self._A[rep, 1:], self.gamma, self.rho, R0)
+        self._walk = _VoterWalks(self._A[order[new], 1:], self.gamma, self.rho, R0)
         self._col = col
+        self._members = np.split(order, np.flatnonzero(new)[1:])  # rows of each column, in grid order
         self._up = (self._A[:, 0] > 0).astype(np.intp)
         self._astar = self._walk.slot0_rounds(self._A[:, 0])
-        # the round each row finishes at, once its column's walk has stopped
-        self._due = np.full(self.G, -1, dtype=np.int64)
+        self._due: dict[int, list[int]] = {}  # rows finishing at each prefix round
 
     def _prefix_step(self) -> list[int]:
         """One round of the prefix: the column walks advance, scheduled rows finish.
@@ -418,27 +426,34 @@ class _GridEngine:
         next voter maximum (argmax keeps the first index on a tie), else it
         takes the walk's next voter append.  So it makes at most a* slot-0
         and b* voter appends, and finishes converged at round a* + b*, where
-        b* is the round its column's walk stops.
+        b* is the round its column's walk stops.  When a walk stops, the rows
+        of its column that finish inside the prefix get their final net,
+        corr and t at once, and wait in _due for their round.
         """
         T, walk = self._rounds, self._walk
         stopped = walk.advance(T)
         if stopped is not None:
-            hit = stopped[self._col]
-            self._due[hit] = self._astar[hit] + T
-        g = (self._due == T).nonzero()[0]
-        if g.size:
+            g = np.concatenate([self._members[c] for c in stopped.tolist()])
+            due = self._astar[g] + T
+            inside = due < self._r0
+            g, due = g[inside], due[inside]
             a, c, up = self._astar[g], self._col[g], self._up[g]
             self.net[g, 0] = np.where(up, a, -a)
             self.net[g, 1:] = walk.net[c]
             self.corr[g, 0] = walk.c0[up, a]
             self.corr[g, 1:] = walk.corr[c]
-            self.t[g] = T
+            self.t[g] = due
+            for row, r in zip(g.tolist(), due.tolist()):
+                self._due.setdefault(r, []).append(row)
+        g = self._due.pop(T, [])
+        if g:
+            g.sort()
             self.converged[g] = True
             self.alive[g] = False
-            self._live -= g.size
+            self._live -= len(g)
         if self._live:
             self._rounds = T + 1
-        return g.tolist()
+        return g
 
     def _merge(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """b, best and last_improved of live prefix rows after the rounds so far.
@@ -448,9 +463,9 @@ class _GridEngine:
         voter appends, and a tie goes to slot 0.  A live row has not
         converged in any of these rounds.
         """
-        gamma, R0 = self.gamma, self._r0
+        gamma, R0, C = self.gamma, self._r0, self._walk.C
         vmax = self._walk.vmax.ravel()
-        k = self._col[rows] * R0  # flat index of the next voter maximum
+        k = self._col[rows].copy()  # flat index of the next voter maximum
         a = self._up[rows] * (R0 + 1)  # flat index of corr_0 in walk.c0
         a0, c0 = self._A[rows, 0], self._walk.c0.ravel()
         best = np.full(rows.size, np.inf)
@@ -463,9 +478,9 @@ class _GridEngine:
             improved = v < best - gamma / 16.0
             np.putmask(best, improved, v)
             np.putmask(last, improved, T)
-            k += voter
+            k += voter * C
             a += ~voter
-        return k - self._col[rows] * R0, best, last
+        return (k - self._col[rows]) // C, best, last
 
     def _replay(self, rows: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """net and corr of live prefix rows that have made b voter appends."""
@@ -525,12 +540,13 @@ class _GridEngine:
 class _VoterWalks:
     """The voter walks of the grid columns, one linear-mode voter append per round.
 
-    advance(T) records each walk's T-th voter append, with the float
-    operations of _GridEngine.step on the voter slots: the largest voter
-    violation before it (vmax), the slot and the sign.  A walk whose largest
-    violation is at most gamma has reached b* and stops there (sign 0), so
-    net and corr hold each stopped walk's state at b*.  c0 holds the two
-    slot-0 walks, one per sign of A_0.
+    advance(T) makes each walk's T-th voter append with the float operations
+    of _GridEngine.step on the voter slots, and records what later reads
+    need: the largest voter violation before it (vmax), the slot and the
+    signed step +-gamma.  A walk whose largest violation is at most gamma
+    has reached b* and stops there: its later steps are +-0, so corr keeps
+    its state at b*, and its net at b* is summed from the record once, when
+    it stops.  c0 holds the two slot-0 walks, one per sign of A_0.
     """
 
     def __init__(self, targets: np.ndarray, gamma: float, rho: float, rounds: int) -> None:
@@ -538,13 +554,15 @@ class _VoterWalks:
         self.targets = targets
         self.gamma = gamma
         self.rho = rho
-        self.net = np.zeros((self.C, self.n), dtype=np.int64)
+        self.net = np.zeros((self.C, self.n), dtype=np.int64)  # set when a walk stops
         self.corr = np.zeros((self.C, self.n))
+        self._viol, self._av = np.empty_like(self.corr), np.empty_like(self.corr)
         self._flat = np.arange(self.C) * self.n
-        self.vmax = np.empty((self.C, rounds))
-        self.slot = np.empty((self.C, rounds), dtype=np.intp)
-        self.sign = np.zeros((self.C, rounds), dtype=np.int8)
-        self._moving = np.ones(self.C, dtype=bool)
+        self.vmax = np.empty((rounds, self.C))
+        self.slot = np.empty((rounds, self.C), dtype=self.slot_type(self.n))
+        self.step = np.empty((rounds, self.C))
+        self._move = np.ones(self.C, dtype=bool)
+        self._moving = self.C
         # while |viol_0| > gamma a slot-0 append moves corr_0 by gamma toward
         # A_0 without crossing it, so after a of them corr_0 is the step's
         # sequential sum of a copies of +gamma (A_0 > 0) or -gamma:
@@ -552,6 +570,11 @@ class _VoterWalks:
         self.c0 = np.zeros((2, rounds + 1))
         np.cumsum(np.full(rounds, -gamma), out=self.c0[0, 1:])
         np.cumsum(np.full(rounds, gamma), out=self.c0[1, 1:])
+
+    @staticmethod
+    def slot_type(n: int) -> np.dtype:
+        """The smallest unsigned type that holds a voter slot 0..n-1."""
+        return np.min_scalar_type(max(n - 1, 0))
 
     def slot0_rounds(self, a0: np.ndarray) -> np.ndarray:
         """a*: the slot-0 appends until |A_0 - corr_0| <= gamma (R0 if none before).
@@ -575,38 +598,45 @@ class _VoterWalks:
         return lo[np.searchsorted(vals, a0)]
 
     def advance(self, T: int) -> np.ndarray | None:
-        """Record round T; returns the mask of walks that stop at T (b* = T), if any."""
-        if not self._moving.any():
+        """Record round T; returns the walks that stop at T (b* = T), if any."""
+        if not self._moving:
             return None
-        viol = self.targets - self.corr
-        av = np.abs(viol)
-        j = av.argmax(axis=1)
+        viol = np.subtract(self.targets, self.corr, out=self._viol)
+        j = np.abs(viol, out=self._av).argmax(axis=1)
         at = self._flat + j
-        m = av.ravel()[at]
-        self.vmax[:, T] = m
-        move = m > self.gamma
-        stopped = self._moving > move  # moving before, not now
-        stopped = stopped if stopped.any() else None
-        self._moving = move
-        if not move.any():
-            return stopped
+        vj = viol.take(at)
+        m = np.abs(vj, out=self.vmax[T])
+        moving = np.count_nonzero(m > self.gamma)
+        stopped = None
+        if moving < self._moving:
+            move = m > self.gamma
+            stopped = np.flatnonzero(self._move > move)  # moving before, not now
+            self._move, self._moving = move, moving
+            # sum the record's +-1 steps per slot, exactly
+            at_b = (np.arange(stopped.size) * self.n + self.slot[:T, stopped]).ravel()
+            net = np.bincount(at_b, np.sign(self.step[:T, stopped]).ravel(), stopped.size * self.n)
+            self.net[stopped] = net.reshape(stopped.size, self.n)
+            if not moving:
+                return stopped
         # +-0.0 on a stopped walk: no corr of a walk is -0.0, so it stays put
-        sgamma = np.copysign(self.gamma, viol.ravel()[at]) * move
-        self.slot[:, T] = j
-        self.sign[:, T] = np.sign(sgamma)
-        pick = self.corr.ravel()[at]
+        sgamma = np.copysign(self.gamma, vj, out=self.step[T])
+        if self._moving < self.C:
+            sgamma *= self._move
+        self.slot[T] = j
+        pick = self.corr.take(at)
         self.corr += (sgamma * self.rho)[:, None]
-        self.corr.ravel()[at] = pick + sgamma
-        self.net.ravel()[at] += self.sign[:, T]
+        pick += sgamma
+        self.corr.put(at, pick)
         return stopped
 
     def states(self, col: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Voter net and corr of walk col[i] after b[i] appends.
 
-        Each voter slot of a walk only ever adds the round's delta (sgamma on
-        the appended slot, sgamma * rho on the others), so its values are a
-        running sum, and a sequential cumsum from the same start gives the
-        same floats.  The rounds go in blocks of about _subsetdp._BLOCK_BYTES.
+        Each voter slot of a walk only ever adds the round's delta (the step
+        on the appended slot, the step times rho on the others), so its
+        values are a running sum, and a sequential cumsum from the same start
+        gives the same floats.  The rounds go in blocks of about
+        _subsetdp._BLOCK_BYTES.
         """
         C, n = self.C, self.n
         net = np.empty((b.size, n), dtype=np.int64)
@@ -618,15 +648,14 @@ class _VoterWalks:
         lo, top = 0, int(b.max())
         while True:
             hi = min(lo + block, top)
-            s = self.sign[:, lo:hi].T
-            sgamma = s * self.gamma
+            sgamma = self.step[lo:hi]
             Dn = np.zeros((hi - lo + 1, C, n), dtype=np.int64)
             Dc = np.empty((hi - lo + 1, C, n))
             Dn[:1], Dc[:1] = cnet, ccorr
             Dc[1:] = (sgamma * self.rho)[:, :, None]
             rr = np.arange(1, hi - lo + 1)[:, None]
-            j = self.slot[:, lo:hi].T
-            Dn[rr, cc, j] = s
+            j = self.slot[lo:hi]
+            Dn[rr, cc, j] = np.sign(sgamma)
             Dc[rr, cc, j] = sgamma
             np.cumsum(Dn, axis=0, out=Dn)
             np.cumsum(Dc, axis=0, out=Dc)

@@ -442,20 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_threads(argv: list[str]) -> None:
-    threads = os.environ.get("SHAPLEY_FORGE_THREADS")
+    source, threads = "SHAPLEY_FORGE_THREADS", os.environ.get("SHAPLEY_FORGE_THREADS")
     for i, tok in enumerate(argv):
         if tok == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
+            source, threads = "--threads", argv[i + 1]
         elif tok.startswith("--threads="):
-            threads = tok.split("=", 1)[1]
+            source, threads = "--threads", tok.split("=", 1)[1]
     if threads:
         try:
             k = int(threads)
         except ValueError:
-            _die(f"--threads expects an integer, got {threads!r}")
-        if k > 0:
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-                os.environ[var] = str(k)
+            _die(f"{source} expects an integer, got {threads!r}")
+        if k < 1:
+            _die(f"{source} expects a thread count of at least 1, got {k}")
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = str(k)
 
 
 def app(argv: list[str] | None = None) -> int:

@@ -11,11 +11,12 @@ The whole grid is boosted in lockstep by boosting._GridEngine, at every n
 and in both oracle modes; a row's integer net is its whole state, and a
 row still live at the round cap finishes unconverged, like a stalled row.
 
-Every row is scored exactly once, at the checkpoint where it finishes.  In
-exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
+Every row goes to validation once, at the checkpoint where it finishes.
+In exact-enum mode one truth-table pass scores a batch; in exact-DP mode the
 batch's rows are grouped by weight vector (finished rows often share one and
 differ only in the threshold net_0), and each group is scored from one
-subset table in which only the threshold window moves (see _subsetdp).  A
+subset table in which only the threshold window moves (see _subsetdp),
+except the rows whose lower bound from that table is past the margin.  A
 solve keeps those tables, within a byte budget, for the vectors that come
 back at later checkpoints.  A grid whose engine arrays would pass their
 byte budget is refused before anything is allocated.
@@ -185,7 +186,7 @@ class _SwingTables(dict):
 
 
 def _exact_d_dp_batch(
-    nets: np.ndarray, target: np.ndarray, tables: _SwingTables | None = None
+    nets: np.ndarray, target: np.ndarray, tables: _SwingTables | None = None, accept_at: float = math.inf
 ) -> np.ndarray:
     """Exact index distance for many candidates at once, by subset DP.
 
@@ -194,21 +195,38 @@ def _exact_d_dp_batch(
     sum.  tables, if given, keeps those tables across calls.  Each distance
     is the one validate_candidate gives the candidate's game_from_net, bit
     for bit.
+
+    Given accept_at, each group is screened first (_class_bound): a row
+    whose bound exceeds accept_at, by a slack far above the rounding of
+    either norm, cannot be accepted and is not scored; its entry is nan.
     """
     if tables is None:
         tables = _SwingTables()
+    screen = accept_at * (1.0 + 1e-9) + 1e-9
     groups: dict[bytes, list[int]] = {}
     for i, net in enumerate(nets):
         groups.setdefault(net[1:].tobytes(), []).append(i)
-    ds = np.empty(len(nets))
+    ds = np.full(len(nets), np.nan)
     for key, rows in groups.items():
         w = nets[rows[0], 1:]
+        table = tables.get_or_build(key, w)
         total = sum(w.tolist())
         # the game of a net is [w.x >= -net_0]
-        ts = [_subsetdp._step(-int(nets[i, 0]), total) for i in rows]
-        for i, index in zip(rows, _subsetdp._step_indices(w, ts, table=tables.get_or_build(key, w))):
-            ds[i] = d_shapley(index, target)
+        rows, ts = np.array(rows), np.array([_subsetdp._step(-int(nets[i, 0]), total) for i in rows])
+        if screen < math.inf:
+            near = _class_bound(table, ts, target) <= screen
+            rows, ts = rows[near], ts[near]
+        if rows.size:
+            ds[rows] = [d_shapley(index, target) for index in _subsetdp._step_indices(w, ts, table=table)]
     return ds
+
+
+def _class_bound(table, ts, target: np.ndarray) -> np.ndarray:
+    """Per step t of ts, the index distance over the voters of the table's
+    most common weight alone: a lower bound read at the cost of one weight."""
+    P, off, vals, inv = table
+    k = np.bincount(inv).argmax()
+    return np.linalg.norm(_subsetdp._weight_indices(P, off, vals[k : k + 1], ts) - target[inv == k], axis=1)
 
 
 def validate_candidate(target: np.ndarray, game: VotingGame, cfg: SolveConfig) -> float:
@@ -282,9 +300,12 @@ def _solve_engine(target, cfg, xi, accept_at, A) -> tuple[_GridEngine, int, floa
     """Lockstep grid; returns (engine, chosen cell, its distance, status).
 
     run() hands every row to the checkpoint where it finishes, and each is
-    scored there once.  The run stops at the first checkpoint that accepts a
-    row, and the lowest (distance, rounds, cell) accepted row wins; if none
-    is accepted every row was scored, and the lowest (distance, cell) wins.
+    scored there once, unless in exact-DP mode its lower bound is past the
+    margin and it is left out (nan, _exact_d_dp_batch).  The run stops at
+    the first checkpoint that accepts a row, and the lowest (distance,
+    rounds, cell) accepted row wins.  If none is accepted, the left-out rows
+    whose bound does not pass the best distance scored are scored, and the
+    lowest (distance, cell) wins: the row full scoring would choose.
     """
     n = target.size
     gamma = xi / 2.0
@@ -297,7 +318,7 @@ def _solve_engine(target, cfg, xi, accept_at, A) -> tuple[_GridEngine, int, floa
         if cfg.oracle_mode == "exact-enum":
             d[finished] = _exact_d_enum_batch(nets, target, n)
         else:
-            d[finished] = _exact_d_dp_batch(nets, target, tables)
+            d[finished] = _exact_d_dp_batch(nets, target, tables, accept_at)
         return bool((d[finished] <= accept_at).any())
 
     engine.run(checkpoint)
@@ -306,7 +327,11 @@ def _solve_engine(target, cfg, xi, accept_at, A) -> tuple[_GridEngine, int, floa
     if accepted.size:
         _, _, g = min(zip(d[accepted].tolist(), engine.t[accepted].tolist(), accepted.tolist()))
         return engine, g, float(d[g]), "solved"
-    g = int(np.argmin(d))
+    screened = np.flatnonzero(np.isnan(d))
+    if screened.size:
+        best = d[~np.isnan(d)].min(initial=np.inf)
+        d[screened] = _exact_d_dp_batch(engine.net[screened], target, tables, best)
+    g = int(np.nanargmin(d))
     return engine, g, float(d[g]), "no-solution"
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -524,3 +525,29 @@ def test_threads_flag_sets_env(game_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.split() == ["2", "2"]
+
+
+@pytest.mark.parametrize("argv", [["--threads", "0"], ["--threads", "-4"], ["--threads=0"], ["--threads=-1"]])
+def test_threads_flag_refuses_counts_below_one(argv, game_file, capsys, monkeypatch):
+    monkeypatch.delenv("SHAPLEY_FORGE_THREADS", raising=False)
+    code, out, err = run_app([*argv, "compute", "--game", game_file], capsys)
+    assert code == 2 and out == ""
+    assert "--threads expects a thread count of at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_env_refuses_counts_below_one(value, game_file, capsys, monkeypatch):
+    monkeypatch.setenv("SHAPLEY_FORGE_THREADS", value)
+    code, out, err = run_app(["compute", "--game", game_file], capsys)
+    assert code == 2 and out == ""
+    assert "SHAPLEY_FORGE_THREADS expects a thread count of at least 1" in err
+
+
+def test_threads_flag_overrides_a_refused_env(game_file):
+    # the flag wins over the environment, so a bad variable is never read
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapley_forge.cli", "--threads", "1", "compute", "--game", game_file],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "SHAPLEY_FORGE_THREADS": "0"},
+    )
+    assert proc.returncode == 0

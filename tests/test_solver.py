@@ -223,11 +223,9 @@ def _one_by_one(nets, target):
     return [validate_candidate(target, game_from_net(net), cfg) for net in nets]
 
 
-@pytest.mark.parametrize("n", [3, 16, 20, 63, 70])
-def test_grouped_dp_validation_equals_per_candidate(n, rng):
-    # three weight vectors, one all zero, each under several thresholds,
-    # some beyond +-total where the game is constant; n > 62 counts in
-    # Python ints
+def _grouped_nets(rng, n: int) -> np.ndarray:
+    """Three weight vectors, one all zero, each under several thresholds,
+    some beyond +-total where the game is constant, in random order."""
     W = rng.integers(-6, 9, size=(3, n))
     W[1] = 0
     nets = []
@@ -236,9 +234,32 @@ def test_grouped_dp_validation_equals_per_candidate(n, rng):
         for t0 in (-total - 3, -total, -total + 1, 0, 1, total - 1, total, total + 7):
             nets.append([t0, *w])
         nets += [[int(t0), *w] for t0 in rng.integers(-total, total + 1, size=4)]
-    nets = np.array(nets, dtype=np.int64)[rng.permutation(len(nets))]
+    return np.array(nets, dtype=np.int64)[rng.permutation(len(nets))]
+
+
+@pytest.mark.parametrize("n", [3, 16, 20, 63, 70])
+def test_grouped_dp_validation_equals_per_candidate(n, rng):
+    # n > 62 counts in Python ints
+    nets = _grouped_nets(rng, n)
     target = rng.uniform(0.0, 4.0 / n, size=n)
     assert _exact_d_dp_batch(nets, target).tolist() == _one_by_one(nets, target)
+
+
+@pytest.mark.parametrize("n", [3, 16, 20, 70])
+def test_dp_screen_scores_its_rows_as_the_unscreened_batch(n, rng):
+    # a screened batch leaves out only rows past the margin, and scores the
+    # rest bit for bit as without the screen
+    nets = _grouped_nets(rng, n)
+    target = rng.uniform(0.0, 4.0 / n, size=n)
+    full = _exact_d_dp_batch(nets, target)
+    left_out = 0
+    for accept_at in (0.0, *np.quantile(full, [0.1, 0.5, 0.9]).tolist(), float(full.min()), math.inf):
+        got = _exact_d_dp_batch(nets, target, None, accept_at)
+        kept = ~np.isnan(got)
+        assert got[kept].tolist() == full[kept].tolist()
+        assert (full[~kept] > accept_at).all()
+        left_out += int(np.count_nonzero(~kept))
+    assert left_out > 0
 
 
 @pytest.mark.parametrize("n", [16, 70])
@@ -420,22 +441,82 @@ def test_default_config_solves_above_the_enumeration_cap():
 
 @pytest.mark.parametrize("mode", ["exact-enum", "exact-dp"])
 def test_no_solution_solve_scores_every_row_exactly_once(monkeypatch, mode):
-    # run() hands each row to the checkpoint where it finishes, so a solve
-    # that accepts nothing has scored the whole grid with no extra sweep
-    handed, scored = [], []
+    # run() hands each row to the checkpoint where it finishes, and it is
+    # fully scored at most once: there, unless the DP screen leaves it out,
+    # or else in the one sweep after a run that accepts nothing, which
+    # scores the left-out rows that could still be the argmin
+    batches, results, full = [], [], []
     run = _GridEngine.run
-
-    def spy(batch):
-        return lambda nets, *args: scored.append(len(nets)) or batch(nets, *args)
-
-    monkeypatch.setattr(_GridEngine, "run", lambda eng, cp: run(eng, lambda rows: handed.extend(rows) or cp(rows)))
-    monkeypatch.setattr(solver, "_exact_d_enum_batch", spy(solver._exact_d_enum_batch))
-    monkeypatch.setattr(solver, "_exact_d_dp_batch", spy(solver._exact_d_dp_batch))
+    monkeypatch.setattr(_GridEngine, "run", lambda eng, cp: run(eng, lambda rows: batches.append(list(rows)) or cp(rows)))
+    for name in ("_exact_d_enum_batch", "_exact_d_dp_batch"):
+        batch = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda nets, *args, batch=batch: results.append(batch(nets, *args)) or results[-1])
+    step_indices = _subsetdp._step_indices
+    monkeypatch.setattr(_subsetdp, "_step_indices", lambda w, ts, **kw: full.append(len(ts)) or step_indices(w, ts, **kw))
     target = np.array([1.5, -0.5, 1.0, 0.25, -0.25])
-    res = solve_is(target, SolveConfig(xi=0.02, grid_step=0.2, oracle_mode=mode))
+    cfg = SolveConfig(xi=0.02, grid_step=0.2, oracle_mode=mode)
+    res = solve_is(target, cfg)
     assert res.status == "no-solution"
-    assert sorted(handed) == list(range(11 * 11)) == list(range(res.grid_evaluated))
-    assert sum(scored) == 11 * 11
+    handed = np.array([g for rows in batches for g in rows])
+    assert sorted(handed.tolist()) == list(range(11 * 11)) == list(range(res.grid_evaluated))
+    d = np.concatenate(results[: len(batches)])
+    scored = handed[~np.isnan(d)].tolist()
+    left_out = np.sort(handed[np.isnan(d)])
+    if left_out.size:
+        assert mode == "exact-dp" and len(results) == len(batches) + 1
+        scored += left_out[~np.isnan(results[-1])].tolist()
+    else:
+        assert len(results) == len(batches)
+    assert len(scored) == len(set(scored))
+    if mode == "exact-enum":
+        assert len(scored) == 11 * 11
+    else:  # the DP read each scored row's whole index once, and no other
+        assert sum(full) == len(scored)
+    _unscreened(monkeypatch)
+    assert repr(solve_is(target, cfg)) == repr(res)
+
+
+def _quota_target(n: int, seed: int) -> np.ndarray:
+    w = np.random.default_rng(seed).integers(1, 10, n)
+    return shapley_exact_dp(QuotaGame(tuple(w.tolist()), int(w.sum()) // 2 + 1)).shapley
+
+
+def _unscreened(monkeypatch) -> None:
+    """A class bound of 0: the DP screen leaves no row out."""
+    monkeypatch.setattr(solver, "_class_bound", lambda table, ts, target: np.zeros(len(ts)))
+
+
+@pytest.mark.parametrize("n, seed, cfg", [
+    (16, 16, SolveConfig(xi=0.005)),
+    (20, 20, SolveConfig(xi=0.005)),
+    (12, 12, SolveConfig(xi=0.02, grid_step=0.2)),
+    (20, 7, SolveConfig(xi=0.02, grid_step=0.2)),
+    (12, 5, SolveConfig(xi=0.02, grid_step=0.4, epsilon=1e-3, stall_window=64)),
+], ids=["n16-xi.005", "n20-xi.005", "n12-xi.02", "n20-xi.02", "n12-no-solution"])
+def test_screened_dp_solve_equals_the_unscreened_one(monkeypatch, n, seed, cfg):
+    target = _quota_target(n, seed)
+    got = solve_is(target, cfg)
+    assert (got.status == "no-solution") == (cfg.epsilon is not None)
+    _unscreened(monkeypatch)
+    assert repr(solve_is(target, cfg)) == repr(got)
+
+
+def test_no_solution_sweep_is_screened_by_the_best_scored_distance(monkeypatch):
+    # a margin just below the grid's best distance: some rows are scored at
+    # checkpoints and none is accepted, so the sweep after the run screens
+    # the left-out rows by the best distance scored so far
+    target = _quota_target(12, 5)
+    cfg = SolveConfig(xi=0.02, grid_step=0.4, epsilon=1e-3, stall_window=64)
+    best = solve_is(target, cfg).est_dshapley
+    cfg = SolveConfig(xi=0.02, grid_step=0.4, epsilon=best / 0.8 * (1 - 1e-6), stall_window=64)
+    margins = []
+    batch = solver._exact_d_dp_batch
+    monkeypatch.setattr(solver, "_exact_d_dp_batch", lambda nets, *args: margins.append(args[-1]) or batch(nets, *args))
+    got = solve_is(target, cfg)
+    assert got.status == "no-solution" and got.est_dshapley == best
+    assert margins[:-1] == [0.8 * cfg.epsilon] * (len(margins) - 1) and margins[-1] == best
+    _unscreened(monkeypatch)
+    assert repr(solve_is(target, cfg)) == repr(got)
 
 
 def _refuse_to_allocate(monkeypatch):
