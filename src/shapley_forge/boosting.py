@@ -1,4 +1,4 @@
-"""Correlation-matching boosting: the scalar loop and the lockstep grid engine.
+"""Correlation-matching boosting: one loop, the lockstep grid engine.
 
 The loop grows a clipped linear form whose correlations under the slice
 distribution track a target vector a = (a_0, ..., a_n).  Each round queries
@@ -7,29 +7,23 @@ appends the literal (or negated literal) of that slot; the hypothesis is the
 running sum of appended literals scaled by gamma = xi/2 and clipped to
 [-1, 1].  The loop stops once every slot is within gamma, which an averaging
 argument guarantees within 64/xi^2 rounds (round_cap) for oracles accurate
-to xi/16.  Both loops keep the same state, the integer net of appended
-literals, and follow the same rules: a row that has neither converged nor
-stalled when it reaches the round cap finishes there unconverged.
+to xi/16.  A row's state is the integer net of its appended literals; a
+row that has neither converged nor stalled when it reaches the round cap
+finishes there unconverged.
 
-boost runs one target against an oracle; the tests check the engine
-against it.  _GridEngine boosts the solver's whole grid of targets in
-lockstep, at every n.  Rows stay in a closed-form "linear" regime while
-their running sums provably never clip, and move one-way into a dense
-regime whose correlations are recomputed from the net after every append
-by one refresh callable (_dense_refresh): from the support table up to
-n = 12, and above it from one clip table per distinct sorted voter net,
-shared by the round's rows that carry it (see _subsetdp).  Both are exact,
-so the engine never samples.
+_GridEngine is the one loop.  It boosts the solver's whole grid of targets
+in lockstep, at every n, and boost runs one target on it as a one-row grid
+whose dense refresh is the given oracle (tests/reference.py keeps the plain
+scalar loop to check it against).  Rows stay in a closed-form "linear"
+regime while their running sums provably never clip, and move one-way into
+a dense regime whose correlations are recomputed from the net after every
+append by one refresh callable.  The solver's (_dense_refresh) reads the
+support table up to n = 12, and above it one clip table per distinct sorted
+voter net, shared by the round's rows that carry it (see _subsetdp).  Both
+are exact, so a solve never samples.
 
-In the linear regime an append moves either corr_0 or the voter
-correlations, never both, and every row of a grid column (one mean_corr)
-has the same voter targets.  So for the first rounds, where no row can go
-dense, stall or hit the cap, the engine walks the voters once per column,
-and a row finishes at round a* + b*: the slot-0 appends its f0 needs plus
-the round its column's walk stops.  A round there advances the walks and
-pops the rows due at it, which got their final state when their walk
-stopped; the rows still live when those rounds end are replayed, and the
-full per-row step takes over.  The results are the same floats either way.
+The first rounds walk the voters once per grid column, not once per row,
+with the same floats (see _GridEngine).
 """
 
 from __future__ import annotations
@@ -180,46 +174,29 @@ class BoostResult:
     converged: bool
 
 
-def boost(
-    targets: BoostTargets,
-    oracle,
-    *,
-    cap: int | None = None,
-    stall_window: int | None = None,
-) -> BoostResult:
-    """Run the loop until every slot is matched to within gamma = xi/2.
+def boost(targets: BoostTargets, oracle, *, cap: int | None = None, stall_window: int | None = None) -> BoostResult:
+    """Boost one target on a one-row _GridEngine until every slot is within gamma = xi/2.
 
-    The stop test runs before any append, so a target within gamma of the
-    zero function returns immediately with an empty state.  Ties on the
-    worst slot break toward the lowest index.  It returns converged = False
-    when it would append past the round cap (round_cap(xi) by default), or,
-    given a stall window, when the worst violation has not dropped by at
-    least gamma/16 (below the oracle noise floor) for that many rounds in a
-    row.
+    The oracle is the engine's dense refresh: it is queried once the row can
+    clip, and the closed form is exact before that.  A target within gamma
+    of the zero function returns at once with an empty state, and ties on
+    the worst slot go to the lowest index.  It returns converged = False
+    when it would append past the round cap (round_cap(xi) unless cap is
+    given), or, given a stall window, when the worst violation has not
+    dropped by gamma/16 (the oracle noise floor) for that many rounds.
     """
-    n = targets.n
-    gamma = targets.gamma
-    if cap is None:
-        cap = round_cap(targets.xi)
-    state = BoostState(n=n, gamma=gamma)
-    best = math.inf
-    last_improved = 0
-    while True:
-        a_t = oracle(state)
-        viol = targets.a - a_t
-        j = int(np.argmax(np.abs(viol)))
-        v = float(abs(viol[j]))
-        if v <= gamma:
-            return BoostResult(state, a_t, state.t, True)
-        if v < best - gamma / 16.0:
-            best = v
-            last_improved = state.t
-        elif stall_window is not None and state.t - last_improved >= stall_window:
-            return BoostResult(state, a_t, state.t, False)
-        if state.t + 1 > cap:
-            return BoostResult(state, a_t, state.t, False)
-        state.net[j] += 1 if viol[j] > 0 else -1
-        state.t += 1
+    n, gamma = targets.n, targets.gamma
+    eng = _GridEngine(n, targets.a[None, :], gamma, _oracle_refresh(n, gamma, oracle), stall_window=stall_window)
+    if cap is not None:
+        eng.cap = cap
+    eng.run()
+    t = int(eng.t[0])
+    return BoostResult(BoostState(n, gamma, t, eng.net[0]), eng.corr[0], t, bool(eng.converged[0]))
+
+
+def _oracle_refresh(n: int, gamma: float, oracle):
+    """Dense refresh by one oracle call per row."""
+    return lambda nets: np.stack([oracle(BoostState(n, gamma, net=net)) for net in nets])
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +674,6 @@ def _table_refresh(n: int, gamma: float):
     """Dense refresh from clip tables, one per distinct sorted voter net (_subsetdp)."""
     pmf = mu_pmf_points(n)
     return lambda nets: _subsetdp.mu_correlations_nets(nets, gamma, pmf)
-
 
 
 def _dense_refresh(n: int, gamma: float):

@@ -7,7 +7,9 @@ synthesis from a target file; exact and seedless, by the subset DP or with
 distribution), and diagnose (anti-concentration and distance reports).
 
 Exit codes: 0 success, 1 solver reported no solution, 2 usage or input
-validation failure.  JSON floats are emitted with 17 significant digits.
+validation failure (also a solve target entry outside [-2, 2], a solve at
+n >= 1030, and an estimate --gamma or --delta without a finite sample
+count).  JSON floats are emitted with 17 significant digits.
 Heavy imports happen inside handlers so that --threads (or the
 SHAPLEY_FORGE_THREADS environment variable) can pin the BLAS thread count
 before numpy loads.
@@ -239,9 +241,9 @@ def _cmd_estimate(args) -> int:
     game = _load_game(args.game)
     try:
         cfg = EstimateConfig(gamma=args.gamma, delta=args.delta, seed=args.seed)
+        vec, m = estimate_shapley(ltf_fn(game), game.n, cfg)
     except ValueError as exc:
         _die(str(exc))
-    vec, m = estimate_shapley(ltf_fn(game), game.n, cfg)
     payload = {
         "n": game.n,
         "shapley": list(vec),

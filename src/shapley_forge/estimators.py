@@ -41,14 +41,23 @@ class EstimateConfig:
             raise ValueError("delta must lie in (0,1)")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        correlation_sample_count(1, self.gamma, self.delta)  # the least count either estimator draws
+
+
+def _sample_count(scale: int, c: int, gamma: float, delta: float) -> int:
+    """ceil(scale * c * ln(2c/delta) / gamma^2); refuses one that is not finite."""
+    bound = scale * c * math.log(2 * c / delta) / gamma**2 if gamma**2 > 0 else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"gamma = {gamma:g} and delta = {delta:g} give a sample count that is not finite")
+    return math.ceil(bound)
 
 
 def correlation_sample_count(n: int, gamma: float, delta: float) -> int:
-    return math.ceil(2 * (n + 1) * math.log(2 * (n + 1) / delta) / gamma**2)
+    return _sample_count(2, n + 1, gamma, delta)
 
 
 def shapley_sample_count(n: int, gamma: float, delta: float) -> int:
-    return math.ceil(8 * n * math.log(2 * n / delta) / gamma**2)
+    return _sample_count(8, n, gamma, delta)
 
 
 def estimate_correlations(fn, n: int, cfg: EstimateConfig) -> tuple[np.ndarray, int]:

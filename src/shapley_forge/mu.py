@@ -45,10 +45,20 @@ def mu_pmf(n: int, wt: int) -> float:
     return slice_prob(n, wt) / math.comb(n, wt)
 
 
+def _slice_probs(n: int, lam: float) -> list[float]:
+    """slice_prob(n, k) for k = 1..n-1, the same floats, given lam = lambda_n(n)."""
+    return [(1.0 / k + 1.0 / (n - k)) / lam for k in range(1, n)]
+
+
 @lru_cache(maxsize=None)
 def mu_pmf_points(n: int) -> np.ndarray:
-    """Read-only (n+1,) vector of mu_pmf(n, k) for k = 0..n."""
-    out = np.array([mu_pmf(n, k) for k in range(n + 1)])
+    """Read-only (n+1,) vector of mu_pmf(n, k) for k = 0..n; refuses an n whose C(n, k) pass the float range."""
+    out = np.zeros(n + 1)
+    if n >= 2:
+        try:
+            out[1:n] = [p / math.comb(n, k) for k, p in enumerate(_slice_probs(n, lambda_n(n)), 1)]
+        except OverflowError:  # C(n, n/2) passes the float range from n = 1030 on
+            raise ValueError(f"the slice point masses at n = {n} need C(n, k) past the float range") from None
     out.setflags(write=False)
     return out
 
@@ -70,10 +80,10 @@ class MuDistribution:
 def mu_distribution(n: int) -> MuDistribution:
     if n < 3:
         raise ValueError(f"distribution tables need n >= 3, got {n}")
+    lam = lambda_n(n)
     weights = np.zeros(n + 1)
-    for k in range(1, n):
-        weights[k] = slice_prob(n, k)
-    return MuDistribution(n=n, lam=lambda_n(n), slice_weight=weights, cumulative=np.cumsum(weights))
+    weights[1:n] = _slice_probs(n, lam)
+    return MuDistribution(n=n, lam=lam, slice_weight=weights, cumulative=np.cumsum(weights))
 
 
 def _weights_from_uniform(dist: MuDistribution, u: np.ndarray) -> np.ndarray:

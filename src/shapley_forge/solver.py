@@ -265,8 +265,8 @@ def _solve(target: np.ndarray, cfg: SolveConfig, xi: float, default_eps: float) 
     n = target.size
     if n < 3:
         raise ValueError(f"need at least 3 voters, got {n}")
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target entries must be finite")
+    if not np.all(np.abs(target) <= 2.0):  # no game has an index entry outside [-2, 2]
+        raise ValueError("target entries must be finite and lie in [-2, 2]")
     if cfg.oracle_mode == "exact-enum" and n > ENUM_CAP:
         raise ValueError(f"enumeration oracle is unavailable at n={n}; use exact-dp")
     eps = cfg.epsilon if cfg.epsilon is not None else default_eps

@@ -2,15 +2,16 @@
 
 Everything here recomputes quantities from first principles: permutation
 enumeration for index vectors, explicit rational pmf construction for the
-slice distribution, and direct summation for correlations.  Test modules
-compare package output against these oracles, so keep this file free of
-shapley_forge imports.
+slice distribution, direct summation for correlations, and the boosting
+loop one oracle query per round.  Test modules compare package output
+against these oracles, so keep this file free of shapley_forge imports.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -229,3 +230,55 @@ class LockstepEngine:
         if now_dense.size:
             self.corr[now_dense] = self.refresh(self.net[now_dense])
         return finished.tolist()
+
+
+@dataclass
+class ScalarBoostState:
+    """What an oracle reads of a boosting state: the integer net and gamma."""
+
+    net: np.ndarray
+    gamma: float
+    t: int = 0
+
+
+@dataclass
+class ScalarBoostResult:
+    state: ScalarBoostState
+    correlations: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def scalar_boost(a, xi: float, oracle, *, cap=None, stall_window=None) -> ScalarBoostResult:
+    """The boosting loop one round at a time, querying oracle(state) every round.
+
+    Each round reads the correlations of the current net, stops if every
+    slot of a is within gamma = xi/2, and otherwise appends +-1 on the worst
+    slot (ties toward the lowest index), with the sign of its violation.
+    It stops unconverged when it would append past cap (ceil(64/xi^2) by
+    default), or, given a stall window, when the worst violation has not
+    dropped by at least gamma/16 for that many rounds in a row.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    gamma = xi / 2.0
+    if cap is None:
+        cap = math.ceil(64.0 / xi**2)
+    state = ScalarBoostState(net=np.zeros(a.size, dtype=np.int64), gamma=gamma)
+    best = math.inf
+    last_improved = 0
+    while True:
+        corr = oracle(state)
+        viol = a - corr
+        j = int(np.argmax(np.abs(viol)))
+        v = float(abs(viol[j]))
+        if v <= gamma:
+            return ScalarBoostResult(state, corr, state.t, True)
+        if v < best - gamma / 16.0:
+            best = v
+            last_improved = state.t
+        elif stall_window is not None and state.t - last_improved >= stall_window:
+            return ScalarBoostResult(state, corr, state.t, False)
+        if state.t + 1 > cap:
+            return ScalarBoostResult(state, corr, state.t, False)
+        state.net[j] += 1 if viol[j] > 0 else -1
+        state.t += 1

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from reference import scalar_boost
 from shapley_forge import boosting
 from shapley_forge.boosting import (
     BoostState,
     BoostTargets,
+    _GridEngine,
+    _oracle_refresh,
     boost,
     exact_dp_oracle,
     exact_enum_oracle,
@@ -71,25 +74,49 @@ def test_boost_converges_on_realizable_targets(rng):
 
 
 def test_every_appended_literal_was_a_real_violation(rng):
-    # watch the loop through its oracle: each round appends one literal, on
-    # the worst slot, with the sign of a violation larger than gamma
+    # step the one-row engine boost runs and watch its net: each round
+    # appends one literal, on the worst slot, with the sign of a violation
+    # larger than gamma
     targets = _realizable_targets(rng, 5, xi=0.08)
-    oracle, seen = exact_enum_oracle(5), []
-
-    def watching(state):
-        seen.append((state.net.copy(), oracle(state)))
-        return seen[-1][1]
-
-    res = boost(targets, watching)
-    assert res.converged
-    assert len(seen) == res.iterations + 1
-    for (before, corr), (after, _) in zip(seen, seen[1:]):
+    oracle = exact_enum_oracle(5)
+    eng = _GridEngine(5, targets.a[None, :], targets.gamma, _oracle_refresh(5, targets.gamma, oracle),
+                      stall_window=None)
+    before, corr = eng.net[0].copy(), eng.corr[0].copy()
+    steps = 0
+    while eng.step() == []:
+        eng.copy_back()
         viol = targets.a - corr
         j = int(np.argmax(np.abs(viol)))
         assert abs(viol[j]) > targets.gamma
         step = np.zeros_like(before)
         step[j] = 1 if viol[j] > 0 else -1
-        assert np.array_equal(after - before, step)
+        assert np.array_equal(eng.net[0] - before, step)
+        before, corr = eng.net[0].copy(), eng.corr[0].copy()
+        steps += 1
+    assert eng.converged[0]
+    assert steps == boost(targets, oracle).iterations
+
+
+def _c5_targets():
+    """The realizable targets of acceptance check c5: (a, xi) from seed 505."""
+    rng = np.random.default_rng(505)
+    for k in range(20):
+        n = int(rng.integers(4, 11))
+        xi = 0.1 if k % 2 == 0 else 0.05
+        g = VotingGame(rng.uniform(-1, 1, n), float(rng.uniform(-0.3, 0.3)))
+        yield exact_correlations(ltf_fn(g), n), xi
+
+
+@pytest.mark.parametrize("make_oracle", [exact_enum_oracle, exact_dp_oracle], ids=["enum", "dp"])
+def test_boost_matches_the_scalar_reference_on_c5_targets(make_oracle):
+    for a, xi in _c5_targets():
+        n = a.size - 1
+        res = boost(BoostTargets(a=a, xi=xi), make_oracle(n))
+        ref = scalar_boost(a, xi, make_oracle(n))
+        assert res.converged == ref.converged
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.state.net, ref.state.net)
+        assert np.abs(res.correlations - ref.correlations).max() <= 1e-12
 
 
 def test_no_cancellation_of_appends(rng):

@@ -138,11 +138,20 @@ def test_estimate_schema(game_file, capsys):
     assert np.abs(np.asarray(doc["shapley"]) - 2 / 3).max() <= 0.2
 
 
-def test_estimate_rejects_infinite_gamma(game_file, capsys):
-    code, out, err = run_app(["estimate", "--game", game_file, "--gamma", "inf"], capsys)
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("gamma", "inf"),
+        ("gamma", "1e-300"),  # gamma**2 underflows to 0
+        ("delta", "1e-320"),  # 2n/delta overflows to inf
+    ],
+)
+def test_estimate_rejects_infinite_gamma(game_file, capsys, flag, value):
+    # a gamma or delta whose sample count is not a finite integer
+    code, out, err = run_app(["estimate", "--game", game_file, f"--{flag}", value], capsys)
     assert code == 2
     assert out == ""
-    assert "gamma" in err
+    assert flag in err
 
 
 @pytest.mark.parametrize(
@@ -281,8 +290,11 @@ def test_solve_bad_target_exits_2(tmp_path, capsys):
         ([2 / 3, 2 / 3, 2 / 3], ["--seed", "1"]),
         ([2 / 3, 2 / 3, 2 / 3], ["--delta", "0.01"]),
         ([2 / 3, 2 / 3, 2 / 3], ["--oracle", "sampled"]),
+        # no game has an index entry outside [-2, 2]; 1e308 would give an inf distance
+        ([1e308, 1e308, 1e308], []),
     ],
-    ids=["nan-target", "negative-epsilon", "nan-epsilon", "seed-flag", "delta-flag", "sampled-oracle"],
+    ids=["nan-target", "negative-epsilon", "nan-epsilon", "seed-flag", "delta-flag", "sampled-oracle",
+         "huge-target"],
 )
 def test_solve_rejects_bad_inputs_with_exit_2(tmp_path, capsys, shapley, flags):
     path = tmp_path / "target.json"
@@ -513,6 +525,22 @@ def test_console_script_subprocess(game_file):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert np.allclose(doc["shapley"], 2 / 3, atol=1e-12)
+
+
+def test_solve_past_the_pmf_float_range_exits_2_without_a_traceback(tmp_path):
+    # the slice point masses need C(n, k) as a float, which overflows from n = 1030 on
+    n = 1100
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"n": n, "shapley": [2.0 / n] * n, "convention": "generalized"}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shapley_forge.cli", "--threads", "1", "solve", "--target", str(path),
+         "--grid", "1", "--out", str(tmp_path / "sol.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "n = 1100" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_threads_flag_sets_env(game_file):

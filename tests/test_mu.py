@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from conftest import random_table, table_batch_fn
+from shapley_forge import mu
 from shapley_forge.mu import (
     basis_coeffs,
     degree1_moment_matrix,
@@ -17,6 +18,7 @@ from shapley_forge.mu import (
     lambda_n,
     mu_distribution,
     mu_pmf,
+    mu_pmf_points,
     mu_weights,
     pair_correlation,
     sample_mu_batch,
@@ -134,6 +136,28 @@ def test_exact_correlations_matches_reference(rng):
 def test_mu_distribution_validation():
     with pytest.raises(ValueError):
         mu_distribution(2)
+
+
+@pytest.mark.parametrize("n", [3, 10, 57, 400])
+def test_mu_tables_read_lambda_once_and_match_the_per_k_values(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(mu, "lambda_n", lambda m: calls.append(m) or lambda_n(m))
+    points = mu_pmf_points.__wrapped__(n)
+    assert len(calls) == 1
+    assert points.tobytes() == np.array([mu_pmf(n, k) for k in range(n + 1)]).tobytes()
+    calls.clear()
+    weights = mu_distribution(n).slice_weight
+    assert len(calls) == 1
+    assert weights[1:n].tobytes() == np.array([slice_prob(n, k) for k in range(1, n)]).tobytes()
+    assert weights[0] == weights[n] == 0.0
+
+
+def test_mu_pmf_points_refuses_an_n_past_the_float_range():
+    # C(1030, 515) is the first binomial past the float range
+    assert np.isfinite(mu_pmf_points.__wrapped__(1029)).all()
+    for n in (1030, 1100):
+        with pytest.raises(ValueError, match=f"n = {n}"):
+            mu_pmf_points.__wrapped__(n)
 
 
 def test_sampler_hits_slice_frequencies():

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from reference import scalar_boost
 from shapley_forge import _subsetdp, solver
 from shapley_forge.boosting import (
-    BoostState,
-    BoostTargets,
     _GridEngine,
+    _oracle_refresh,
     _support_refresh,
     _table_refresh,
-    boost,
     exact_dp_oracle,
     exact_enum_oracle,
     game_from_net,
@@ -43,15 +42,6 @@ def _realizable(rng, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_refresh(n: int, gamma: float, oracle):
-    """Dense refresh by one boosting-oracle call per row."""
-
-    def refresh(nets: np.ndarray) -> np.ndarray:
-        return np.stack([oracle(BoostState(n, gamma, net=net)) for net in nets])
-
-    return refresh
-
-
 def _dense_reference(n: int, A: np.ndarray, gamma: float, **kwargs) -> _GridEngine:
     """Every row dense from its first append, refreshed in float64 row by row."""
     eng = _GridEngine(n, A, gamma, _oracle_refresh(n, gamma, exact_enum_oracle(n)), **kwargs)
@@ -64,7 +54,7 @@ def test_engine_dense_reference_replays_scalar_boost(rng):
     a = _realizable(rng, n)
     gamma = xi / 2.0
 
-    scalar = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), stall_window=4096)
+    scalar = scalar_boost(a, xi, exact_enum_oracle(n), stall_window=4096)
     eng = _dense_reference(n, a[None, :], gamma, stall_window=4096)
     eng.run()
     assert bool(eng.converged[0]) == scalar.converged
@@ -74,7 +64,7 @@ def test_engine_dense_reference_replays_scalar_boost(rng):
 
     # capped before it converges, the row finishes unconverged in both loops
     cap = scalar.iterations // 2
-    capped = boost(BoostTargets(a=a, xi=xi), exact_enum_oracle(n), cap=cap, stall_window=4096)
+    capped = scalar_boost(a, xi, exact_enum_oracle(n), cap=cap, stall_window=4096)
     eng = _dense_reference(n, a[None, :], gamma, stall_window=4096)
     eng.cap = cap
     eng.run()
@@ -138,10 +128,10 @@ def test_engine_support_refresh_is_chunk_size_invariant(monkeypatch):
 
 
 def _replay_scalar_dp_boost(rng, n: int) -> None:
-    """A one-row engine, dense from its first append, against scalar boost(exact_dp_oracle)."""
+    """A one-row engine, dense from its first append, against scalar_boost(exact_dp_oracle)."""
     xi = 0.05
     a = _realizable(rng, n)
-    scalar = boost(BoostTargets(a=a, xi=xi), exact_dp_oracle(n), stall_window=4096)
+    scalar = scalar_boost(a, xi, exact_dp_oracle(n), stall_window=4096)
     eng = _GridEngine(n, a[None, :], xi / 2.0, _table_refresh(n, xi / 2.0), stall_window=4096)
     eng.lin_cap = -1  # every row dense from its first append
     eng.run()
